@@ -32,8 +32,8 @@ fn main() {
         let deployment = NetSim::draw_deployment(&cfg, 4);
         println!("--- dur {dur} nodes {nodes} lambda {lambda}");
         time_engine(cfg, "dense", &deployment);
-        let mut geo = cfg;
-        geo.boundary_engine = BoundaryEngine::Geometric;
-        time_engine(geo, "geometric", &deployment);
+        let mut lazy = cfg;
+        lazy.boundary_engine = BoundaryEngine::Lazy;
+        time_engine(lazy, "lazy", &deployment);
     }
 }

@@ -161,14 +161,9 @@ pub const RATIO_RULES: &[RatioRule] = &[
         min_ratio: 2.0, // ~3x observed (geometric skip vs per-boundary idle walk)
     },
     RatioRule {
-        fast: "net_sim_run_sparse_flood_replicas",
-        slow: "net_sim_run_sparse_flood_serial",
-        min_ratio: 1.5, // lockstep replica batch vs one-run-at-a-time serial loop
-    },
-    RatioRule {
         fast: "net_sim_run_quiescent_frameskip",
-        slow: "net_sim_run_quiescent_geometric",
-        min_ratio: 3.0, // frame skip vs per-frame boundary walk on a quiescent horizon
+        slow: "net_sim_run_quiescent_dense",
+        min_ratio: 60.0, // ~120x observed (lazy frame jump vs dense per-boundary walk)
     },
 ];
 

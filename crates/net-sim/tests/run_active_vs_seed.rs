@@ -4,16 +4,20 @@
 //!   must stay **bit-identical to the original per-node-walk loop** it
 //!   replaced two PRs ago: `EXPECTED_DENSE` was captured from that loop
 //!   (commit 630516c) and has never been regenerated since.
-//! * [`BoundaryEngine::Geometric`] settles idle-node
+//! * [`BoundaryEngine::Lazy`] settles idle-node
 //!   boundary runs in closed form — a relaxed RNG-stream-layout contract
-//!   under which every value for a fixed seed moved **once**, at the PR
-//!   that introduced it. `EXPECTED_GEOMETRIC` pins the new layout; the
+//!   under which every value for a fixed seed moved **once**, when the
+//!   geometric skip was introduced. `EXPECTED_LAZY` pins the new layout; the
 //!   statistical-equivalence suite (`tests/boundary_equivalence.rs` at
 //!   the workspace root) pins the two engines together in distribution.
 //!   Modes whose sleep coin is deterministic (NO PSM, PSM, `q = 1`,
 //!   adaptive) consume no sleep randomness on either engine, so their
 //!   rows agree across both tables up to the association order of the
 //!   batched energy additions (almost all are bitwise equal).
+//! * The lazy engine's quiescent-frame jump must not change a value:
+//!   `EXPECTED_QUIESCENT` was captured from the frame-by-frame geometric
+//!   walk (no jumps) on a long, mostly idle horizon, and the lazy engine,
+//!   which jumps across almost all of it, must reproduce it bit for bit.
 //!
 //! Every `(seed, mode)` cell hashes the [`NetRunStats`] of one run —
 //! reception times, energy joules bit-for-bit, transmission and
@@ -28,6 +32,10 @@
 //! ```text
 //! PBBF_PRINT_FINGERPRINTS=1 cargo test -p pbbf-net-sim --test run_active_vs_seed -- --nocapture
 //! ```
+//!
+//! `EXPECTED_QUIESCENT` is the exception: it pins the jump against a
+//! walk that no longer exists, so a mismatch there is a bug in the jump,
+//! never a new baseline.
 
 use pbbf_core::adaptive::AdaptiveConfig;
 use pbbf_core::PbbfParams;
@@ -184,10 +192,10 @@ const EXPECTED_DENSE: &[(&str, u64)] = &[
     ("sparse/11", 0x6c15ac46ddfaefdc),
 ];
 
-/// Captured at the PR that introduced the geometric-skip engine — the
+/// Captured when the geometric-skip engine was introduced — the
 /// one-time stream-layout move. Deterministic-coin rows (no-psm, psm,
 /// hi-q, adaptive) match `EXPECTED_DENSE` except where noted.
-const EXPECTED_GEOMETRIC: &[(&str, u64)] = &[
+const EXPECTED_LAZY: &[(&str, u64)] = &[
     ("no-psm/1", 0x115127465b0942e2),
     ("no-psm/7", 0xab39b06c009eeb55),
     ("no-psm/42", 0x6e905325f5634876),
@@ -219,17 +227,39 @@ const EXPECTED_GEOMETRIC: &[(&str, u64)] = &[
     ("sparse/11", 0x2f4d5ba8890caff2),
 ];
 
-/// The frame-skip goldens are *defined as* the geometric table: the
-/// engine's contract is bitwise identity to [`BoundaryEngine::Geometric`]
-/// at every `q` (skipped frames are provably no-ops — see the runner's
-/// module docs), so a new table would be byte-for-byte the same and
-/// would only obscure the contract. A frame-skip cell diverging from
-/// this table is a bug in the quiescence check or the jump, never a new
-/// baseline.
-const EXPECTED_FRAMESKIP: &[(&str, u64)] = EXPECTED_GEOMETRIC;
+/// The quiescent scenario: 500 nodes over a two-hour horizon at the
+/// 50 ms beacon interval, with λ = 0.000125 — one update at t = AW/2,
+/// flooded within a few beacons, then ~144k idle frames.
+fn quiescent_grid(engine: BoundaryEngine) -> Vec<(String, u64)> {
+    let mut cfg = NetConfig::table2();
+    cfg.nodes = 500;
+    cfg.duration_secs = 7200.0;
+    cfg.delta = 10.0;
+    cfg.lambda = 0.000125;
+    cfg.beacon_interval_secs = 0.05;
+    cfg.atim_window_secs = 0.005;
+    cfg.boundary_engine = engine;
+    let mut out = Vec::new();
+    for (label, p, q) in [("pbbf-1-1", 1.0, 1.0), ("pbbf-mid", 0.5, 0.5)] {
+        let mode = NetMode::SleepScheduled(PbbfParams::new(p, q).unwrap());
+        for seed in [4u64, 11] {
+            out.push(cell(cfg, mode, seed, &format!("quiescent/{label}/{seed}")));
+        }
+    }
+    out
+}
 
-fn check(engine: BoundaryEngine, expected: &[(&str, u64)], what: &str) {
-    let got = grid(engine);
+/// Captured from the frame-by-frame geometric walk, which never jumps a
+/// frame. The lazy engine jumps all but a few hundred of the horizon's
+/// frames and must reproduce these exactly.
+const EXPECTED_QUIESCENT: &[(&str, u64)] = &[
+    ("quiescent/pbbf-1-1/4", 0x69d25484569873fe),
+    ("quiescent/pbbf-1-1/11", 0x29789ae229f17d27),
+    ("quiescent/pbbf-mid/4", 0x2eecb508119332f4),
+    ("quiescent/pbbf-mid/11", 0xb2ac41114317a71d),
+];
+
+fn check(got: Vec<(String, u64)>, expected: &[(&str, u64)], what: &str) {
     if std::env::var("PBBF_PRINT_FINGERPRINTS").is_ok() {
         println!("const {what}: &[(&str, u64)] = &[");
         for (label, fp) in &got {
@@ -250,23 +280,23 @@ fn check(engine: BoundaryEngine, expected: &[(&str, u64)], what: &str) {
 
 #[test]
 fn dense_engine_matches_seed_goldens() {
-    check(BoundaryEngine::Dense, EXPECTED_DENSE, "EXPECTED_DENSE");
-}
-
-#[test]
-fn geometric_engine_matches_committed_goldens() {
     check(
-        BoundaryEngine::Geometric,
-        EXPECTED_GEOMETRIC,
-        "EXPECTED_GEOMETRIC",
+        grid(BoundaryEngine::Dense),
+        EXPECTED_DENSE,
+        "EXPECTED_DENSE",
     );
 }
 
 #[test]
-fn frame_skip_engine_matches_geometric_goldens() {
+fn lazy_engine_matches_committed_goldens() {
+    check(grid(BoundaryEngine::Lazy), EXPECTED_LAZY, "EXPECTED_LAZY");
+}
+
+#[test]
+fn lazy_frame_jump_matches_frame_walk_goldens() {
     check(
-        BoundaryEngine::FrameSkip,
-        EXPECTED_FRAMESKIP,
-        "EXPECTED_FRAMESKIP",
+        quiescent_grid(BoundaryEngine::Lazy),
+        EXPECTED_QUIESCENT,
+        "EXPECTED_QUIESCENT",
     );
 }

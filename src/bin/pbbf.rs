@@ -203,9 +203,9 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
         args,
         &[val("grid"), val("reliability"), val("runs"), val("seed")],
     )?;
-    let grid = get_u64(&flags, "grid", 30)? as u32;
-    let reliability = get_f64(&flags, "reliability", Some(0.99))?;
-    let runs = get_u64(&flags, "runs", 150)? as u32;
+    let grid = get_count(&flags, "grid", 30, 2)?;
+    let reliability = get_reliability(&flags, "reliability", 0.99)?;
+    let runs = get_count(&flags, "runs", 150, 1)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
     let mut rng = SimRng::new(seed);
@@ -229,7 +229,7 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
         args,
         &[val("grid"), val("p"), val("q"), val("updates"), val("seed")],
     )?;
-    let grid = get_u64(&flags, "grid", 25)? as u32;
+    let grid = get_count(&flags, "grid", 25, 1)?;
     let p = get_f64(&flags, "p", None)?;
     let q = get_f64(&flags, "q", None)?;
     let updates = get_u64(&flags, "updates", 5)? as u32;
@@ -275,8 +275,8 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     )?;
     let p = get_f64(&flags, "p", None)?;
     let q = get_f64(&flags, "q", None)?;
-    let delta = get_f64(&flags, "delta", Some(10.0))?;
-    let duration = get_f64(&flags, "duration", Some(500.0))?;
+    let delta = get_positive(&flags, "delta", 10.0)?;
+    let duration = get_sim_secs(&flags, "duration", 500.0)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let params = PbbfParams::new(p, q).map_err(|e| e.to_string())?;
     let mut cfg = NetConfig::table2();
@@ -407,13 +407,60 @@ fn parse_figs(spec: &str) -> Result<Vec<String>, String> {
 }
 
 /// Parses a `--flag` holding a duration in seconds, requiring it to be
-/// finite and strictly positive.
+/// finite, strictly positive and representable as a [`Duration`].
 fn get_secs(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<Duration, String> {
-    let secs = get_f64(flags, key, Some(default))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("--{key}: must be a positive number of seconds"));
+    let secs = get_positive(flags, key, default)?;
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("--{key}: {secs} s is too long"))
+}
+
+/// Parses a flag holding a finite, strictly positive real.
+fn get_positive(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    let x = get_f64(flags, key, Some(default))?;
+    if !x.is_finite() || x <= 0.0 {
+        return Err(format!("--{key}: must be a positive number, got `{x}`"));
     }
-    Ok(Duration::from_secs_f64(secs))
+    Ok(x)
+}
+
+/// Parses a flag holding a simulated horizon in seconds: positive,
+/// finite, and at most half of [`SimTime`]'s range, which leaves room
+/// for the events a run schedules past its horizon.
+fn get_sim_secs(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    let secs = get_positive(flags, key, default)?;
+    let max = SimTime::MAX.as_secs() / 2.0;
+    if secs > max {
+        return Err(format!(
+            "--{key}: {secs} s exceeds the {max:.0} s simulation horizon"
+        ));
+    }
+    Ok(secs)
+}
+
+/// Parses a count flag (`--grid`, `--runs`) that must lie in `min..=u32::MAX`.
+fn get_count(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: u32,
+    min: u32,
+) -> Result<u32, String> {
+    let n = get_u64(flags, key, u64::from(default))?;
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n >= min)
+        .ok_or_else(|| format!("--{key}: must be an integer from {min} to {}", u32::MAX))
+}
+
+/// Parses a reliability target: a fraction in `(0, 1]`.
+fn get_reliability(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: f64,
+) -> Result<f64, String> {
+    let r = get_f64(flags, key, Some(default))?;
+    if !(r > 0.0 && r <= 1.0) {
+        return Err(format!("--{key}: must be in (0, 1], got `{r}`"));
+    }
+    Ok(r)
 }
 
 /// How many workers a sweep fleet gets: remote hosts plus local
@@ -664,9 +711,66 @@ mod tests {
         assert!(plan_fleet(&flags, &["a:1".to_string()]).is_ok());
     }
 
+    fn flag(key: &str, value: &str) -> HashMap<String, String> {
+        [(key.to_string(), value.to_string())].into()
+    }
+
+    #[test]
+    fn net_duration_must_be_a_representable_positive_horizon() {
+        for bad in ["-5", "0", "nan", "inf", "1e12"] {
+            let err = get_sim_secs(&flag("duration", bad), "duration", 500.0).unwrap_err();
+            assert!(err.starts_with("--duration"), "{bad}: {err}");
+        }
+        assert_eq!(
+            get_sim_secs(&flag("duration", "30"), "duration", 500.0),
+            Ok(30.0)
+        );
+        assert_eq!(get_sim_secs(&HashMap::new(), "duration", 500.0), Ok(500.0));
+    }
+
+    #[test]
+    fn net_delta_must_be_positive_and_finite() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            assert!(
+                get_positive(&flag("delta", bad), "delta", 10.0).is_err(),
+                "{bad}"
+            );
+        }
+        assert_eq!(get_positive(&flag("delta", "16"), "delta", 10.0), Ok(16.0));
+    }
+
+    #[test]
+    fn grid_sides_must_be_at_least_the_minimum() {
+        // `ideal` needs one node; `boundary` needs an edge to percolate.
+        assert!(get_count(&flag("grid", "0"), "grid", 25, 1).is_err());
+        assert_eq!(get_count(&flag("grid", "1"), "grid", 25, 1), Ok(1));
+        assert!(get_count(&flag("grid", "1"), "grid", 30, 2).is_err());
+        assert!(get_count(&flag("grid", "4294967296"), "grid", 25, 1).is_err());
+    }
+
+    #[test]
+    fn boundary_runs_must_be_positive() {
+        let err = get_count(&flag("runs", "0"), "runs", 150, 1).unwrap_err();
+        assert!(err.contains("--runs"), "{err}");
+        assert_eq!(get_count(&HashMap::new(), "runs", 150, 1), Ok(150));
+    }
+
+    #[test]
+    fn boundary_reliability_must_be_a_fraction() {
+        for bad in ["1.5", "0", "-0.1", "nan"] {
+            let flags = flag("reliability", bad);
+            assert!(
+                get_reliability(&flags, "reliability", 0.99).is_err(),
+                "{bad}"
+            );
+        }
+        let flags = flag("reliability", "1");
+        assert_eq!(get_reliability(&flags, "reliability", 0.99), Ok(1.0));
+    }
+
     #[test]
     fn durations_must_be_positive_and_finite() {
-        for bad in ["0", "-3", "inf", "nan"] {
+        for bad in ["0", "-3", "inf", "nan", "1e30"] {
             let flags: HashMap<_, _> = [("liveness".to_string(), bad.to_string())].into();
             assert!(get_secs(&flags, "liveness", 10.0).is_err(), "{bad}");
         }

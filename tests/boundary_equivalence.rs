@@ -1,16 +1,13 @@
-//! Statistical equivalence of the lazy boundary engines.
+//! Statistical equivalence of the lazy and dense boundary engines.
 //!
-//! The geometric-skip engine ([`BoundaryEngine::Geometric`]) settles
-//! idle nodes' beacon boundaries in closed form — one geometric
-//! run-length draw per stretch of sleeps instead of one Bernoulli coin
-//! per boundary — and the frame-skip engine
-//! ([`BoundaryEngine::FrameSkip`]) additionally jumps globally
-//! quiescent frames wholesale. Both relax *stream layout* relative to
-//! the dense reference (values for a fixed seed move) while promising
-//! the same *distribution*; this suite is the honest pin of that
-//! promise, comparing each lazy engine against
-//! [`BoundaryEngine::Dense`] on the two observables the skips actually
-//! rewrite:
+//! The lazy engine ([`BoundaryEngine::Lazy`]) settles idle nodes'
+//! beacon boundaries in closed form — one geometric run-length draw per
+//! stretch of sleeps instead of one Bernoulli coin per boundary — and
+//! jumps globally quiescent frames wholesale. It relaxes *stream layout*
+//! relative to the dense reference (values for a fixed seed move) while
+//! promising the same *distribution*; this suite is the honest pin of
+//! that promise, comparing it against [`BoundaryEngine::Dense`] on the
+//! two observables the skips actually rewrite:
 //!
 //! * **per-node awake-beacon counts** — how many data phases each node
 //!   spent awake (recovered exactly from the per-node sleep residency:
@@ -21,7 +18,7 @@
 //!
 //! Cells randomize `(q, Δ, λ, run-length)` (plus network size) from a
 //! fixed seed — λ spans busy and near-quiescent update rates so the
-//! frame-skip jump actually fires — and all runs of a cell fan out
+//! quiescent-frame jump actually fires — and all runs of a cell fan out
 //! through
 //! `pbbf_parallel::par_map`, so CI exercising `PBBF_THREADS = 1/2/8`
 //! checks the suite is thread-count invariant as well as green.
@@ -66,7 +63,7 @@ fn cells() -> Vec<Cell> {
             delta: 8.0 + unit() * 6.0,
             // Update period of 3..32 whole beacon intervals: the low end
             // keeps traffic almost continuous, the high end leaves long
-            // quiescent stretches for the frame-skip jump. Whole
+            // quiescent stretches for the frame jump. Whole
             // intervals keep every generated update inside an ATIM
             // window (the first lands mid-window), the regime the
             // source model supports — its sender is awake by the
@@ -128,10 +125,8 @@ fn sample(cell: Cell, engine: BoundaryEngine, runs: u64) -> EngineSample {
     // independent samples of each engine's own distribution, never the
     // same seeds replayed (identical seeds could mask a bias).
     let base = match engine {
-        BoundaryEngine::Geometric => 1_000_000,
-        BoundaryEngine::FrameSkip => 5_000_000,
+        BoundaryEngine::Lazy => 1_000_000,
         BoundaryEngine::Dense => 9_000_000,
-        BoundaryEngine::Auto => unreachable!("the suite samples concrete engines"),
     };
     let stats = par_map((0..runs).collect(), |r| sim.run(base + r));
     let mut awake_hist = vec![0u64; cell.frames as usize + 1];
@@ -191,13 +186,13 @@ fn assert_means_close(label: &str, cell: Cell, a: &[f64], b: &[f64]) {
     let tol = 5.0 * se + 1e-9 * ma.abs().max(1.0);
     assert!(
         (ma - mb).abs() <= tol,
-        "{label} diverged for {cell:?}: geometric {ma} vs dense {mb} (tol {tol})"
+        "{label} diverged for {cell:?}: lazy {ma} vs dense {mb} (tol {tol})"
     );
 }
 
-/// The chi-square + mean-agreement battery between one lazy engine's
+/// The chi-square + mean-agreement battery between the lazy engine's
 /// sample and the dense reference's.
-fn assert_engine_agrees(label: &str, cell: Cell, lazy: &EngineSample, dense: &EngineSample) {
+fn assert_engine_agrees(cell: Cell, lazy: &EngineSample, dense: &EngineSample) {
     // Per-node awake-beacon counts: pooled chi-square between the
     // engines' histograms. Threshold: a generous 0.9999-quantile
     // bound (dof + 4 * sqrt(2 dof) + 8) — the samples are
@@ -205,7 +200,7 @@ fn assert_engine_agrees(label: &str, cell: Cell, lazy: &EngineSample, dense: &En
     let (chi2, dof) = pooled_chi_square(&lazy.awake_hist, &dense.awake_hist);
     let threshold = dof as f64 + 4.0 * (2.0 * dof as f64).sqrt() + 8.0;
     let samples: u64 = lazy.awake_hist.iter().sum();
-    eprintln!("{label} cell {cell:?}: chi2 {chi2:.1} dof {dof} samples {samples}");
+    eprintln!("cell {cell:?}: chi2 {chi2:.1} dof {dof} samples {samples}");
     assert!(
         dof >= 2 && samples >= 500,
         "degenerate cell {cell:?}: dof {dof}, {samples} node-samples — \
@@ -213,8 +208,8 @@ fn assert_engine_agrees(label: &str, cell: Cell, lazy: &EngineSample, dense: &En
     );
     assert!(
         chi2 <= threshold,
-        "awake-beacon histograms diverged for {label}, {cell:?}: chi2 {chi2} > {threshold} \
-         (dof {dof})\n  {label} {:?}\n  dense     {:?}",
+        "awake-beacon histograms diverged for {cell:?}: chi2 {chi2} > {threshold} \
+         (dof {dof})\n  lazy  {:?}\n  dense {:?}",
         lazy.awake_hist,
         dense.awake_hist,
     );
@@ -230,25 +225,12 @@ fn assert_engine_agrees(label: &str, cell: Cell, lazy: &EngineSample, dense: &En
 }
 
 #[test]
-fn geometric_and_dense_engines_agree_in_distribution() {
+fn lazy_and_dense_engines_agree_in_distribution() {
     const RUNS: u64 = 12;
     for cell in cells() {
-        let geo = sample(cell, BoundaryEngine::Geometric, RUNS);
+        let lazy = sample(cell, BoundaryEngine::Lazy, RUNS);
         let dense = sample(cell, BoundaryEngine::Dense, RUNS);
-        assert_engine_agrees("geometric", cell, &geo, &dense);
-    }
-}
-
-#[test]
-fn frame_skip_and_dense_engines_agree_in_distribution() {
-    // Frame skip is bitwise-pinned to geometric elsewhere; this is the
-    // independent end-to-end check against the exact-replay reference,
-    // over seeds disjoint from both other engines' samples.
-    const RUNS: u64 = 12;
-    for cell in cells() {
-        let skip = sample(cell, BoundaryEngine::FrameSkip, RUNS);
-        let dense = sample(cell, BoundaryEngine::Dense, RUNS);
-        assert_engine_agrees("frame-skip", cell, &skip, &dense);
+        assert_engine_agrees(cell, &lazy, &dense);
     }
 }
 
@@ -259,7 +241,7 @@ fn suite_is_thread_count_invariant_per_engine() {
     // sequential pass (run-level substreams are independent of
     // scheduling by construction; this guards the suite's own plumbing).
     let cell = cells()[0];
-    let cfg = config(cell, BoundaryEngine::Geometric);
+    let cfg = config(cell, BoundaryEngine::Lazy);
     let sim = NetSim::new(
         cfg,
         NetMode::SleepScheduled(PbbfParams::new(0.25, cell.q).expect("valid params")),

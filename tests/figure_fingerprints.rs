@@ -130,9 +130,9 @@ fn grid() -> Vec<(String, u64)> {
     out
 }
 
-/// Captured at the PR that introduced the geometric-skip boundary engine
-/// (the default `BoundaryEngine::Geometric` relaxes per-node RNG stream
-/// layout, so the net-simulator exhibits — fig13–fig18, latency-tail,
+/// Captured when the geometric-skip boundary engine was introduced
+/// (geometric skip, part of the default `BoundaryEngine::Lazy`, relaxes
+/// per-node RNG stream layout, so the net-simulator exhibits — fig13–fig18, latency-tail,
 /// k-trade-off — moved once; ideal/percolation exhibits and the
 /// adaptive/gossip extensions are untouched). The dense engine remains
 /// pinned to the pre-geometric goldens in
