@@ -1,5 +1,6 @@
 //! Effort presets: paper-scale vs quick.
 
+use pbbf_des::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// How much work each experiment spends.
@@ -69,6 +70,39 @@ impl Effort {
         (0..self.q_points)
             .map(|i| f64::from(i) / f64::from(self.q_points - 1))
             .collect()
+    }
+
+    /// Checks the fields a figure sweep reads: at least two q points,
+    /// at least one run, a non-empty ideal grid, and a positive, finite
+    /// net-sim horizon of at most half of [`SimTime`]'s range (which
+    /// leaves room for the events a run schedules past its horizon).
+    /// A shard worker checks a wire job's effort with this before
+    /// simulating, so a malformed job is refused instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.q_points < 2 {
+            return Err(format!(
+                "q_points must be at least 2, got {}",
+                self.q_points
+            ));
+        }
+        if self.runs == 0 {
+            return Err("runs must be positive".into());
+        }
+        if self.ideal_grid_side == 0 {
+            return Err("ideal_grid_side must be positive".into());
+        }
+        let secs = self.net_duration_secs;
+        let max = SimTime::MAX.as_secs() / 2.0;
+        if !(secs > 0.0 && secs <= max) {
+            return Err(format!(
+                "net_duration_secs must lie in (0, {max:.0}] s, got {secs}"
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -15,20 +15,14 @@
 use pbbf_core::adaptive::AdaptiveConfig;
 use pbbf_core::PbbfParams;
 use pbbf_des::SimRng;
-use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode};
+use pbbf_ideal_sim::{IdealSim, Mode};
 use pbbf_metrics::{Figure, Histogram, Series};
 use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetSim};
 use pbbf_percolation::NewmanZiff;
 use pbbf_topology::Grid;
 
-use crate::Effort;
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::sweep::{ideal_config, DEPLOY_SALT, RUN_CHUNK};
+use crate::{mix, Effort};
 
 /// Gossip (site percolation) vs PBBF (bond percolation) reliability on one
 /// grid: delivered fraction vs the forwarding knob (`g` for gossip, `q`
@@ -36,9 +30,7 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// prediction for gossip.
 #[must_use]
 pub fn ext_gossip_vs_pbbf(effort: &Effort, seed: u64) -> Figure {
-    let mut cfg = IdealConfig::table1();
-    cfg.grid_side = effort.ideal_grid_side;
-    cfg.updates = effort.ideal_updates;
+    let cfg = ideal_config(effort);
     let xs = effort.q_values();
 
     let mut gossip = Series::new("Gossip (simulated)");
@@ -47,23 +39,27 @@ pub fn ext_gossip_vs_pbbf(effort: &Effort, seed: u64) -> Figure {
     // schedules as one flat job list. Per-job streams depend only on
     // (seed, x index, run index) and per-point sums fold in run order, so
     // the figure is bitwise identical for any thread count.
-    let fractions = pbbf_parallel::par_run_grouped(xs.len(), effort.runs as usize, |xi, r| {
-        let x = xs[xi];
-        let s = mix(seed, (xi as u64) << 32 | r as u64);
-        let g = IdealSim::new(
-            cfg,
-            Mode::Gossip {
-                forward_probability: x,
-            },
-        )
-        .run(s)
-        .mean_delivered_fraction();
-        let params = PbbfParams::new(0.75, x).expect("valid");
-        let p = IdealSim::new(cfg, Mode::SleepScheduled(params))
-            .run(s)
-            .mean_delivered_fraction();
-        (g, p)
-    });
+    let fractions =
+        pbbf_parallel::par_run_grouped_chunked(xs.len(), effort.runs as usize, 1, |xi, rs| {
+            rs.map(|r| {
+                let x = xs[xi];
+                let s = mix(seed, (xi as u64) << 32 | r as u64);
+                let g = IdealSim::new(
+                    cfg,
+                    Mode::Gossip {
+                        forward_probability: x,
+                    },
+                )
+                .run(s)
+                .mean_delivered_fraction();
+                let params = PbbfParams::new(0.75, x).expect("valid");
+                let p = IdealSim::new(cfg, Mode::SleepScheduled(params))
+                    .run(s)
+                    .mean_delivered_fraction();
+                (g, p)
+            })
+            .collect()
+        });
     for (&x, point) in xs.iter().zip(&fractions) {
         let (mut g_frac, mut p_frac) = (0.0, 0.0);
         for &(g, p) in point {
@@ -164,11 +160,11 @@ pub fn ext_latency_tail(effort: &Effort, seed: u64) -> Figure {
     // the q points (the q sweep compares operating points on identical
     // scenarios) — and with the fig13–16 sweeps, which use the same
     // geometry and deployment-seed stream.
-    let deploy_seed = mix(seed, crate::net_figs::DEPLOY_SALT);
+    let deploy_seed = mix(seed, DEPLOY_SALT);
     let all_stats = pbbf_parallel::par_run_grouped_chunked(
         qs.len(),
         effort.runs as usize,
-        crate::net_figs::RUN_CHUNK,
+        RUN_CHUNK,
         |qi, rs| {
             let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, qs[qi]).expect("valid"));
             let sim = NetSim::new(cfg, mode);
@@ -226,11 +222,11 @@ pub fn ext_k_tradeoff(effort: &Effort, seed: u64) -> Figure {
     // through the process-wide registry, inside the chunk job — to the
     // same entry across the whole k sweep and across the other
     // Table-2-geometry sweeps of the process.
-    let deploy_seed = mix(seed, crate::net_figs::DEPLOY_SALT);
+    let deploy_seed = mix(seed, DEPLOY_SALT);
     let ratios = pbbf_parallel::par_run_grouped_chunked(
         ks.len(),
         effort.runs as usize,
-        crate::net_figs::RUN_CHUNK,
+        RUN_CHUNK,
         |ki, rs| {
             let mut cfg = NetConfig::table2();
             cfg.duration_secs = effort.net_duration_secs;

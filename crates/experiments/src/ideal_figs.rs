@@ -1,159 +1,55 @@
 //! Figures 4, 5, 8, 9, 10, 11 — the Section-4 idealized-simulation sweeps.
+//!
+//! Each figure is one row of the sweep table ([`crate::sweep`]), which
+//! owns the point grid, the per-run metric and the figure dressing.
 
-use pbbf_core::PbbfParams;
-use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode, RunStats};
-use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
+use pbbf_metrics::Figure;
 
+use crate::sweep::run;
 use crate::Effort;
-
-/// The `p` values of the paper's idealized-simulation legends.
-pub(crate) const IDEAL_P_VALUES: [f64; 5] = [0.05, 0.25, 0.375, 0.5, 0.75];
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn ideal_config(effort: &Effort) -> IdealConfig {
-    let mut cfg = IdealConfig::table1();
-    cfg.grid_side = effort.ideal_grid_side;
-    cfg.updates = effort.ideal_updates;
-    cfg
-}
-
-fn runs(mode: Mode, effort: &Effort, seed: u64) -> Vec<RunStats> {
-    let sim = IdealSim::new(ideal_config(effort), mode);
-    // Each run's stream depends only on (seed, run index); the fan-out
-    // returns results in index order, matching the sequential loop.
-    pbbf_parallel::par_run(effort.runs as usize, |r| sim.run(mix(seed, r as u64)))
-}
-
-/// Sweeps the metric over q for every PBBF line, plus flat PSM and NO-PSM
-/// baselines (whose behavior does not depend on q).
-fn sweep(effort: &Effort, seed: u64, metric: impl Fn(&RunStats) -> Option<f64>) -> Vec<Series> {
-    let qs = effort.q_values();
-    let mut series = Vec::new();
-
-    for (pi, &p) in IDEAL_P_VALUES.iter().enumerate() {
-        let mut s = Series::new(format!("PBBF-{p}"));
-        for (qi, &q) in qs.iter().enumerate() {
-            let params = PbbfParams::new(p, q).expect("sweep p, q valid");
-            let point_seed = mix(seed, (pi as u64) << 32 | qi as u64);
-            let vals: Summary = runs(Mode::SleepScheduled(params), effort, point_seed)
-                .iter()
-                .filter_map(&metric)
-                .collect();
-            if !vals.is_empty() {
-                let ci = ConfidenceInterval::from_summary(&vals, 0.95);
-                s.push_with_err(q, ci.mean, ci.half_width);
-            }
-        }
-        series.push(s);
-    }
-
-    for (label, mode) in [
-        ("PSM", Mode::SleepScheduled(PbbfParams::PSM)),
-        ("NO PSM", Mode::AlwaysOn),
-    ] {
-        let vals: Summary = runs(mode, effort, mix(seed, label.len() as u64))
-            .iter()
-            .filter_map(&metric)
-            .collect();
-        let mut s = Series::new(label);
-        if !vals.is_empty() {
-            let ci = ConfidenceInterval::from_summary(&vals, 0.95);
-            for &q in &qs {
-                s.push_with_err(q, ci.mean, ci.half_width);
-            }
-        }
-        series.push(s);
-    }
-    series
-}
-
-fn threshold_figure(effort: &Effort, seed: u64, reliability: f64, number: u32) -> Figure {
-    let series = sweep(effort, seed, |r| {
-        Some(r.fraction_of_updates_with_reliability(reliability))
-    });
-    Figure::new(
-        format!(
-            "Figure {number}: Threshold behavior for {:.0}% reliability",
-            reliability * 100.0
-        ),
-        "q",
-        format!(
-            "Fraction of updates received by {:.0}% of nodes",
-            reliability * 100.0
-        ),
-        series,
-    )
-}
 
 /// Figure 4: fraction of updates received by ≥90% of nodes vs `q`.
 #[must_use]
 pub fn fig04(effort: &Effort, seed: u64) -> Figure {
-    threshold_figure(effort, seed, 0.9, 4)
+    run("fig04", effort, seed)
 }
 
 /// Figure 5: fraction of updates received by ≥99% of nodes vs `q`.
 #[must_use]
 pub fn fig05(effort: &Effort, seed: u64) -> Figure {
-    threshold_figure(effort, seed, 0.99, 5)
+    run("fig05", effort, seed)
 }
 
 /// Figure 8: average per-node energy per update (J) vs `q`.
 #[must_use]
 pub fn fig08(effort: &Effort, seed: u64) -> Figure {
-    let series = sweep(effort, seed, |r| Some(r.mean_energy_per_update()));
-    Figure::new(
-        "Figure 8: Average energy consumption",
-        "q",
-        "Joules consumed / total updates sent at source",
-        series,
-    )
-}
-
-fn hops_figure(effort: &Effort, seed: u64, distance: u32, number: u32) -> Figure {
-    let series = sweep(effort, seed, |r| r.mean_hops_at_distance(distance));
-    Figure::new(
-        format!("Figure {number}: Average hops traveled to reach a node {distance} hops from the source"),
-        "q",
-        format!("Average {distance}-hop flooding hop count"),
-        series,
-    )
+    run("fig08", effort, seed)
 }
 
 /// Figure 9: hops traveled by delivered copies to "near" probe nodes
 /// (shortest distance 20 at paper scale) vs `q`.
 #[must_use]
 pub fn fig09(effort: &Effort, seed: u64) -> Figure {
-    hops_figure(effort, seed, effort.hop_probe_near, 9)
+    run("fig09", effort, seed)
 }
 
 /// Figure 10: hops traveled to "far" probe nodes (shortest distance 60 at
 /// paper scale) vs `q`.
 #[must_use]
 pub fn fig10(effort: &Effort, seed: u64) -> Figure {
-    hops_figure(effort, seed, effort.hop_probe_far, 10)
+    run("fig10", effort, seed)
 }
 
 /// Figure 11: average per-hop update latency (s) vs `q`.
 #[must_use]
 pub fn fig11(effort: &Effort, seed: u64) -> Figure {
-    let series = sweep(effort, seed, RunStats::mean_per_hop_latency);
-    Figure::new(
-        "Figure 11: Average per-hop update latency",
-        "q",
-        "Average per-hop update latency (s)",
-        series,
-    )
+    run("fig11", effort, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::IDEAL_P_VALUES;
 
     fn effort() -> Effort {
         let mut e = Effort::quick();

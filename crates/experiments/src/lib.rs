@@ -44,3 +44,13 @@ pub use percolation_figs::{fig06, fig07};
 pub use registry::{Experiment, Output};
 pub use tables::{table1, table2};
 pub use tradeoff_fig::fig12;
+
+/// The crate's seed mixer (the splitmix64 finaliser): derives the
+/// independent stream `salt` of `seed`. Every sweep point, run and
+/// deployment seed of the catalogue comes from it.
+pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
+    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

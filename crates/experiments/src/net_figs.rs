@@ -1,393 +1,54 @@
 //! Figures 13–18 — the Section-5 realistic-simulation sweeps.
 //!
-//! Every figure here is one [`NetSweep`]: a catalogue id, an x-axis
-//! ([`SweepAxis::Q`] or [`SweepAxis::Delta`]), and a per-run metric.
-//! The sweep machinery is deliberately split into four pure stages —
-//! [`NetSweep::points`] (the parameter grid), [`NetSweep::run_chunk`]
-//! (a `(point, run-range)` Monte Carlo slice), [`fold_point_values`]
-//! (run-ordered per-point confidence intervals) and
-//! [`NetSweep::assemble`] (series layout + figure dressing) — so the
-//! in-process fan-out ([`NetSweep::run`]) and the distributed sweep
-//! fabric (`crate::sweep`, executed by `pbbf worker` processes) share
-//! every stage except scheduling. A chunk's values depend only on
-//! `(effort, seed, point, run range)`, and the fold consumes them in
-//! manifest order, so *where* a chunk ran — this thread pool, another
-//! process, a retried worker — cannot change a figure's bytes.
+//! Each figure is one row of the sweep table ([`crate::sweep`]), which
+//! owns the point grid, the per-run metric and the figure dressing, and
+//! which the distributed sweep fabric shards.
 
-use pbbf_core::PbbfParams;
-use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
-use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim};
+use pbbf_metrics::Figure;
 
+use crate::sweep::run;
 use crate::Effort;
-
-/// Salt of the deployment-seed stream. Every protocol mode of a sweep
-/// shares run `r`'s deployment `mix(mix(seed, DEPLOY_SALT), r)` — drawn
-/// once via the [`DeploymentCache`] and reused, and a paired comparison
-/// methodologically: modes are measured on identical scenarios.
-pub(crate) const DEPLOY_SALT: u64 = 0x00DE_F10E_0D5A_17E5;
-
-/// The `p` values of the paper's Section-5 legends (Figs 13–16).
-pub(crate) const NET_P_VALUES: [f64; 4] = [0.05, 0.1, 0.25, 0.5];
-
-/// The `p` values of the density sweeps (the paper drops `p = 0.5`
-/// from Figs 17–18).
-pub(crate) const DELTA_P_VALUES: [f64; 3] = [0.05, 0.1, 0.25];
-
-/// The density values of Figs 17–18.
-pub(crate) const DELTA_VALUES: [f64; 6] = [8.0, 10.0, 12.0, 14.0, 16.0, 18.0];
-
-/// The fixed `q` of the density sweeps (Table 2).
-pub(crate) const FIXED_Q: f64 = 0.25;
-
-/// The baseline modes appended after the PBBF points of every sweep.
-const BASELINES: [(&str, NetMode); 2] = [
-    ("PSM", NetMode::SleepScheduled(PbbfParams::PSM)),
-    ("NO PSM", NetMode::AlwaysOn),
-];
-
-pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn net_config(effort: &Effort, delta: f64) -> NetConfig {
-    let mut cfg = NetConfig::table2();
-    cfg.duration_secs = effort.net_duration_secs;
-    cfg.delta = delta;
-    cfg
-}
-
-/// One sweep point: a scenario, a protocol mode, the point's seed, and
-/// the sweep-wide deployment-seed base it shares with the other modes.
-pub(crate) struct NetPoint {
-    cfg: NetConfig,
-    mode: NetMode,
-    seed: u64,
-    deploy_seed: u64,
-}
-
-/// The scheduling granularity of a sweep's Monte Carlo fan-out: runs per
-/// `(point, run-chunk)` job. It is the sweep fabric's shard unit — a
-/// shard and an in-process chunk job are the same unit of work, so the
-/// value is part of the manifest layout. One chunk amortizes its point
-/// lookup and simulator construction, while the paper-scale sweeps
-/// (points × runs/chunk jobs) still oversubscribe every thread budget
-/// the CI matrix uses.
-pub(crate) const RUN_CHUNK: usize = 8;
-
-/// Which x-axis a Section-5 sweep walks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SweepAxis {
-    /// `q` over `effort.q_values()` at the Table-2 density, one PBBF
-    /// series per [`NET_P_VALUES`] entry plus single-point baselines.
-    Q,
-    /// Δ over [`DELTA_VALUES`] at fixed `q = 0.25`, one PBBF series per
-    /// [`DELTA_P_VALUES`] entry plus per-density baselines.
-    Delta,
-}
-
-/// One shardable Section-5 figure sweep: catalogue identity, axis,
-/// per-run metric, and figure dressing.
-pub(crate) struct NetSweep {
-    /// The exhibit's catalogue id, e.g. `"fig13"`.
-    pub(crate) id: &'static str,
-    /// The x-axis this sweep walks.
-    pub(crate) axis: SweepAxis,
-    metric: fn(&NetRunStats) -> Option<f64>,
-    title: &'static str,
-    x_label: &'static str,
-    y_label: &'static str,
-}
-
-fn metric_energy(r: &NetRunStats) -> Option<f64> {
-    Some(r.energy_per_update())
-}
-fn metric_latency_2hop(r: &NetRunStats) -> Option<f64> {
-    r.mean_latency_at_hops(2)
-}
-fn metric_latency_5hop(r: &NetRunStats) -> Option<f64> {
-    r.mean_latency_at_hops(5)
-}
-fn metric_delivery(r: &NetRunStats) -> Option<f64> {
-    Some(r.mean_delivery_ratio())
-}
-fn metric_latency(r: &NetRunStats) -> Option<f64> {
-    r.mean_latency()
-}
-
-/// Every shardable Section-5 sweep, in catalogue order.
-pub(crate) const NET_SWEEPS: [NetSweep; 6] = [
-    NetSweep {
-        id: "fig13",
-        axis: SweepAxis::Q,
-        metric: metric_energy,
-        title: "Figure 13: Average energy consumption",
-        x_label: "q",
-        y_label: "Joules consumed / total updates sent at source",
-    },
-    NetSweep {
-        id: "fig14",
-        axis: SweepAxis::Q,
-        metric: metric_latency_2hop,
-        title: "Figure 14: 2-hop average update latency",
-        x_label: "q",
-        y_label: "Average 2-hop latency (s)",
-    },
-    NetSweep {
-        id: "fig15",
-        axis: SweepAxis::Q,
-        metric: metric_latency_5hop,
-        title: "Figure 15: 5-hop average update latency",
-        x_label: "q",
-        y_label: "Average 5-hop latency (s)",
-    },
-    NetSweep {
-        id: "fig16",
-        axis: SweepAxis::Q,
-        metric: metric_delivery,
-        title: "Figure 16: Average updates received",
-        x_label: "q",
-        y_label: "Updates received / total updates sent at source",
-    },
-    NetSweep {
-        id: "fig17",
-        axis: SweepAxis::Delta,
-        metric: metric_latency,
-        title: "Figure 17: Average update latency",
-        x_label: "Delta",
-        y_label: "Average update latency (s)",
-    },
-    NetSweep {
-        id: "fig18",
-        axis: SweepAxis::Delta,
-        metric: metric_delivery,
-        title: "Figure 18: Average updates received",
-        x_label: "Delta",
-        y_label: "Updates received / total updates sent at source",
-    },
-];
-
-/// Looks a shardable sweep up by catalogue id.
-pub(crate) fn net_sweep(id: &str) -> Option<&'static NetSweep> {
-    NET_SWEEPS.iter().find(|s| s.id == id)
-}
-
-impl NetSweep {
-    /// The sweep's parameter grid, in point order: the PBBF points of
-    /// every series, then the baselines. A pure function of
-    /// `(axis, effort, seed)` — the distributed fabric relies on every
-    /// process rebuilding the identical grid from the manifest header.
-    pub(crate) fn points(&self, effort: &Effort, seed: u64) -> Vec<NetPoint> {
-        let deploy_seed = mix(seed, DEPLOY_SALT);
-        let mut points = Vec::new();
-        match self.axis {
-            SweepAxis::Q => {
-                let qs = effort.q_values();
-                let cfg = net_config(effort, NetConfig::table2().delta);
-                for (pi, &p) in NET_P_VALUES.iter().enumerate() {
-                    for (qi, &q) in qs.iter().enumerate() {
-                        points.push(NetPoint {
-                            cfg,
-                            mode: NetMode::SleepScheduled(
-                                PbbfParams::new(p, q).expect("valid sweep"),
-                            ),
-                            seed: mix(seed, (pi as u64) << 32 | qi as u64),
-                            deploy_seed,
-                        });
-                    }
-                }
-                for (label, mode) in BASELINES {
-                    // Shifted past the (pi << 32 | qi) PBBF salts (like
-                    // the Δ sweep) so baseline runs never reuse a PBBF
-                    // point's per-run seeds.
-                    points.push(NetPoint {
-                        cfg,
-                        mode,
-                        seed: mix(seed, (label.len() as u64) << 40),
-                        deploy_seed,
-                    });
-                }
-            }
-            SweepAxis::Delta => {
-                for (pi, &p) in DELTA_P_VALUES.iter().enumerate() {
-                    for (di, &delta) in DELTA_VALUES.iter().enumerate() {
-                        points.push(NetPoint {
-                            cfg: net_config(effort, delta),
-                            mode: NetMode::SleepScheduled(
-                                PbbfParams::new(p, FIXED_Q).expect("valid"),
-                            ),
-                            seed: mix(seed, (pi as u64) << 32 | di as u64),
-                            deploy_seed,
-                        });
-                    }
-                }
-                for (label, mode) in BASELINES {
-                    for (di, &delta) in DELTA_VALUES.iter().enumerate() {
-                        points.push(NetPoint {
-                            cfg: net_config(effort, delta),
-                            mode,
-                            seed: mix(seed, (label.len() as u64) << 40 | di as u64),
-                            deploy_seed,
-                        });
-                    }
-                }
-            }
-        }
-        points
-    }
-
-    /// Executes runs `rs` of one point, returning the metric value per
-    /// run in run order. This is the unit the fabric ships to worker
-    /// processes and the chunk job of the in-process fan-out — one code
-    /// path, so a shard re-executed anywhere is bitwise identical.
-    ///
-    /// Each run's RNG stream depends only on `(point seed, run index)`.
-    /// Deployments resolve through the process-wide registry
-    /// ([`DeploymentCache::global`]) — the single resolution path,
-    /// inside the chunk job: every point with the same geometry reuses
-    /// run `r`'s connected deployment instead of redrawing it per
-    /// protocol mode, and sweeps in *other* figures with the same
-    /// geometry and deployment-seed stream (fig13–16 vs the
-    /// latency-tail and k-trade-off extensions) resolve to the same
-    /// entries. Each run shares the cached topology by `Arc` straight
-    /// into its channel — no per-run copy. The cached draw is a pure
-    /// function of `(deployment seed, geometry)`, so all of this
-    /// sharing preserves thread-count (and process-count) invariance.
-    pub(crate) fn run_chunk(&self, pt: &NetPoint, rs: std::ops::Range<usize>) -> Vec<Option<f64>> {
-        let sim = NetSim::new(pt.cfg, pt.mode);
-        rs.map(|r| {
-            let deployment =
-                DeploymentCache::global().get_or_draw(&pt.cfg, mix(pt.deploy_seed, r as u64));
-            (self.metric)(&sim.run_on(mix(pt.seed, r as u64), &deployment))
-        })
-        .collect()
-    }
-
-    /// Lays the per-point confidence intervals out as the figure's
-    /// series and dresses them with title and axis labels.
-    pub(crate) fn assemble(&self, effort: &Effort, cis: &[Option<ConfidenceInterval>]) -> Figure {
-        let mut series = Vec::new();
-        let mut cursor = cis.iter();
-        match self.axis {
-            SweepAxis::Q => {
-                let qs = effort.q_values();
-                for &p in &NET_P_VALUES {
-                    let mut s = Series::new(format!("PBBF-{p}"));
-                    for &q in &qs {
-                        if let Some(ci) = cursor.next().expect("one interval per point") {
-                            s.push_with_err(q, ci.mean, ci.half_width);
-                        }
-                    }
-                    series.push(s);
-                }
-                for (label, _) in BASELINES {
-                    let mut s = Series::new(label);
-                    if let Some(ci) = cursor.next().expect("one interval per point") {
-                        for &q in &qs {
-                            s.push_with_err(q, ci.mean, ci.half_width);
-                        }
-                    }
-                    series.push(s);
-                }
-            }
-            SweepAxis::Delta => {
-                let labels = DELTA_P_VALUES
-                    .iter()
-                    .map(|p| format!("PBBF-{p}"))
-                    .chain(BASELINES.iter().map(|(l, _)| (*l).to_string()));
-                for label in labels {
-                    let mut s = Series::new(label);
-                    for &delta in &DELTA_VALUES {
-                        if let Some(ci) = cursor.next().expect("one interval per point") {
-                            s.push_with_err(delta, ci.mean, ci.half_width);
-                        }
-                    }
-                    series.push(s);
-                }
-            }
-        }
-        Figure::new(self.title, self.x_label, self.y_label, series)
-    }
-
-    /// Runs the whole sweep in-process: one flat `(point, run-chunk)`
-    /// job list fanned across threads
-    /// ([`pbbf_parallel::par_run_grouped_chunked`]), folded and
-    /// assembled. Chunk boundaries are a pure function of
-    /// `(runs, RUN_CHUNK)` and per-point summaries fold in run
-    /// order, so results are bitwise identical to the sequential
-    /// per-point loop for any thread count — and to a distributed sweep
-    /// of the same manifest.
-    pub(crate) fn run(&self, effort: &Effort, seed: u64) -> Figure {
-        let points = self.points(effort, seed);
-        let vals = pbbf_parallel::par_run_grouped_chunked(
-            points.len(),
-            effort.runs as usize,
-            RUN_CHUNK,
-            |pi, rs| self.run_chunk(&points[pi], rs),
-        );
-        self.assemble(effort, &fold_point_values(vals))
-    }
-}
-
-/// Folds each point's run-ordered metric values into a confidence
-/// interval (`None` when every run of the point produced no sample).
-/// The fold order is the value order, so any execution that delivers
-/// the same per-point value sequences — threads, worker processes,
-/// retried shards — folds to identical bytes.
-pub(crate) fn fold_point_values(vals: Vec<Vec<Option<f64>>>) -> Vec<Option<ConfidenceInterval>> {
-    vals.into_iter()
-        .map(|point_vals| {
-            let summary: Summary = point_vals.into_iter().flatten().collect();
-            (!summary.is_empty()).then(|| ConfidenceInterval::from_summary(&summary, 0.95))
-        })
-        .collect()
-}
-
-fn catalogue_sweep(id: &str, effort: &Effort, seed: u64) -> Figure {
-    net_sweep(id).expect("known catalogue id").run(effort, seed)
-}
 
 /// Figure 13: average per-node energy per update (J) vs `q`.
 #[must_use]
 pub fn fig13(effort: &Effort, seed: u64) -> Figure {
-    catalogue_sweep("fig13", effort, seed)
+    run("fig13", effort, seed)
 }
 
 /// Figure 14: average update latency of 2-hop nodes (s) vs `q`.
 #[must_use]
 pub fn fig14(effort: &Effort, seed: u64) -> Figure {
-    catalogue_sweep("fig14", effort, seed)
+    run("fig14", effort, seed)
 }
 
 /// Figure 15: average update latency of 5-hop nodes (s) vs `q`.
 #[must_use]
 pub fn fig15(effort: &Effort, seed: u64) -> Figure {
-    catalogue_sweep("fig15", effort, seed)
+    run("fig15", effort, seed)
 }
 
 /// Figure 16: updates received / updates sent vs `q`.
 #[must_use]
 pub fn fig16(effort: &Effort, seed: u64) -> Figure {
-    catalogue_sweep("fig16", effort, seed)
+    run("fig16", effort, seed)
 }
 
 /// Figure 17: average update latency (s) vs density Δ at `q = 0.25`.
 #[must_use]
 pub fn fig17(effort: &Effort, seed: u64) -> Figure {
-    catalogue_sweep("fig17", effort, seed)
+    run("fig17", effort, seed)
 }
 
 /// Figure 18: updates received / updates sent vs density Δ at `q = 0.25`.
 #[must_use]
 pub fn fig18(effort: &Effort, seed: u64) -> Figure {
-    catalogue_sweep("fig18", effort, seed)
+    run("fig18", effort, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::NET_P_VALUES;
 
     fn effort() -> Effort {
         let mut e = Effort::quick();
@@ -440,14 +101,5 @@ mod tests {
         );
         let nopsm = f.series_named("NO PSM").unwrap();
         assert!(nopsm.y_at(10.0).unwrap() < psm.y_at(10.0).unwrap());
-    }
-
-    #[test]
-    fn sweep_catalogue_is_consistent() {
-        for sweep in &NET_SWEEPS {
-            assert_eq!(net_sweep(sweep.id).unwrap().id, sweep.id);
-            assert!(sweep.title.contains(&sweep.id["fig".len()..]));
-        }
-        assert!(net_sweep("fig04").is_none());
     }
 }

@@ -10,19 +10,19 @@
 //! the work itself. A [`ShardSpec`](protocol::ShardSpec) carries an
 //! opaque JSON job, workers echo back bit-exact value vectors
 //! ([`protocol::ShardResult`], f64s shipped as raw bit patterns with an
-//! FNV checksum), the [`scheduler::SweepScheduler`] assigns shards,
+//! FNV checksum), and the [`scheduler::SweepScheduler`] assigns shards,
 //! enforces wall-clock deadlines, retries failures with bounded
 //! exponential backoff, quarantines repeat offenders, and degrades to
-//! in-process execution when no workers survive — and the
-//! [`merge::ShardMerger`] folds results by manifest position so arrival
-//! order, duplicates, and worker identity cannot leak into the output
-//! bytes. The scheduler owns its fleet for its whole lifetime: a
-//! *queue* of sweeps multiplexes onto one set of workers, keeping
-//! remote deployment caches warm across figures, while
-//! [`supervisor::run_sweep`] remains the one-shot spawn-run-teardown
-//! wrapper. The binding to actual figure sweeps (job encoding/
-//! execution) lives in `pbbf-experiments::sweep`; the `pbbf` binary
-//! wires the two together.
+//! in-process execution when no workers survive. It hands every shard's
+//! values to the caller exactly once, tagged with the shard's manifest
+//! position, so the caller's fold (`assemble_sweep` in
+//! `pbbf-experiments::sweep`) is by position and arrival order,
+//! duplicates, and worker identity cannot leak into the output bytes.
+//! The scheduler owns its fleet for its whole lifetime: a *queue* of
+//! sweeps multiplexes onto one set of workers, keeping remote
+//! deployment caches warm across figures. The binding to actual figure
+//! sweeps (job encoding/execution) lives in `pbbf-experiments::sweep`;
+//! the `pbbf` binary wires the two together.
 //!
 //! The [`tcp`] module carries the same line protocol over sockets so
 //! remote hosts join the fleet (`pbbf worker --listen` / `pbbf sweep
@@ -38,19 +38,17 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod merge;
 pub mod protocol;
 pub mod scheduler;
 pub mod supervisor;
 pub mod tcp;
 pub mod worker;
 
-pub use merge::ShardMerger;
 pub use protocol::{CacheTelemetry, ShardResult, ShardSpec, WorkerReply};
 pub use scheduler::SweepScheduler;
 pub use supervisor::{
-    run_sweep, ProcessWorkerFactory, ShardInput, SweepOptions, SweepOutcome, SweepStats,
-    WorkerEvent, WorkerFactory, WorkerLink,
+    ProcessWorkerFactory, ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory,
+    WorkerLink,
 };
 pub use tcp::{serve_listener, HybridWorkerFactory, ServeOptions, TcpOptions, TcpWorkerFactory};
 pub use worker::{worker_loop, worker_loop_with};

@@ -5,10 +5,10 @@
 //! Shards from every queued sweep drain into workers as they go idle,
 //! so several figures multiplex onto one fleet and remote workers keep
 //! their deployment caches warm across sweeps. Per-shard results
-//! stream to a caller-supplied sink in completion order; re-merging in
-//! manifest order is the caller's job (`assemble_sweep` upstairs, or
-//! [`ShardMerger`](crate::merge::ShardMerger)), which is what keeps
-//! scheduling invisible in the output bytes.
+//! stream to a caller-supplied sink in completion order, each exactly
+//! once and tagged with its manifest position; re-merging in manifest
+//! order is the caller's job (`assemble_sweep` upstairs), which is what
+//! keeps scheduling invisible in the output bytes.
 //!
 //! The failure policy is the supervisor's, unchanged in spirit: a
 //! shard that crashes its worker, overruns its wall-clock deadline, or
@@ -51,16 +51,15 @@ use serde_json::Value as Json;
 
 use crate::protocol::{checksum, decode_values, CacheTelemetry, ShardSpec, WorkerReply};
 use crate::supervisor::{
-    ShardInput, SweepOptions, SweepOutcome, SweepStats, WorkerEvent, WorkerFactory, WorkerLink,
+    ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory, WorkerLink,
 };
 
 /// A worker fleet that stays resident across sweeps.
 ///
 /// Construct once with [`SweepScheduler::new`], then feed it sweep
-/// queues with [`SweepScheduler::run_queue`] (or single sweeps with
-/// [`SweepScheduler::run_sweep`]). Workers are spawned exactly once;
-/// the fleet only ever shrinks (quarantine, crashes, lost hosts), and
-/// dropping the scheduler kills whatever is left.
+/// queues with [`SweepScheduler::run_queue`]. Workers are spawned
+/// exactly once; the fleet only ever shrinks (quarantine, crashes, lost
+/// hosts), and dropping the scheduler kills whatever is left.
 pub struct SweepScheduler {
     opts: SweepOptions,
     workers: Vec<Worker>,
@@ -272,32 +271,6 @@ impl SweepScheduler {
         }
         eng.check_settle();
         Ok(eng.stats)
-    }
-
-    /// Runs a single sweep on the resident fleet and returns its
-    /// values in manifest order — [`run_queue`](Self::run_queue) with
-    /// a one-element queue and a collecting sink. The fleet stays
-    /// alive afterwards, ready for the next sweep.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_queue`](Self::run_queue).
-    pub fn run_sweep<E>(&mut self, inputs: Vec<ShardInput>, exec: E) -> Result<SweepOutcome, String>
-    where
-        E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-    {
-        let n = inputs.len();
-        let mut slots: Vec<Option<Vec<Option<f64>>>> = (0..n).map(|_| None).collect();
-        let stats = self.run_queue(vec![inputs], exec, |_, shard, values| {
-            slots[shard] = Some(values);
-        })?;
-        Ok(SweepOutcome {
-            values: slots
-                .into_iter()
-                .map(|s| s.expect("a completed queue settles every shard"))
-                .collect(),
-            stats: stats[0],
-        })
     }
 }
 

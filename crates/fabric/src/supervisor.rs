@@ -1,31 +1,25 @@
-//! Worker-fleet contracts and the one-shot sweep entry point.
+//! Worker-fleet contracts: worker events, links, factories, options,
+//! and stats.
 //!
-//! [`run_sweep`] drives a fixed fleet of workers (spawned once through
-//! a [`WorkerFactory`]; the fleet only ever shrinks) over a manifest of
-//! opaque shards. The failure policy, in one paragraph: a shard that
-//! crashes its worker, overruns its wall-clock deadline, or comes back
-//! corrupt (bad parse, wrong length, checksum mismatch) is retried on
-//! a healthy worker after bounded exponential backoff; a worker that
-//! repeatedly produces corrupt output — or hangs — is quarantined
-//! (killed, never respawned); a shard that exhausts its delivery
-//! attempts is executed in-process, as is the whole remaining manifest
-//! when no healthy workers are left (including the spawn-failed-
-//! entirely case). Results fold by manifest position, so none of this
-//! scheduling is visible in the output: the sweep's bytes match the
-//! single-process fold exactly.
+//! The [`SweepScheduler`](crate::scheduler::SweepScheduler) drives a
+//! fixed fleet of workers (spawned once through a [`WorkerFactory`];
+//! the fleet only ever shrinks) over queues of opaque shards. The
+//! failure policy, in one paragraph: a shard that crashes its worker,
+//! overruns its wall-clock deadline, or comes back corrupt (bad parse,
+//! wrong length, checksum mismatch) is retried on a healthy worker
+//! after bounded exponential backoff; a worker that repeatedly produces
+//! corrupt output — or hangs — is quarantined (killed, never
+//! respawned); a shard that exhausts its delivery attempts is executed
+//! in-process, as is the whole remaining queue when no healthy workers
+//! are left (including the spawn-failed-entirely case). Results are
+//! handed over tagged with their manifest position and fold by it, so
+//! none of this scheduling is visible in the output: the sweep's bytes
+//! match the single-process fold exactly.
 //!
 //! Late replies are welcome: a result arriving from a worker that was
-//! already written off still folds (shard values are deterministic, so
-//! *any* structurally valid copy is the right copy), and the retry's
-//! duplicate is dropped.
-//!
-//! The per-shard state machine itself lives in
-//! [`scheduler`](crate::scheduler): [`run_sweep`] is a one-shot
-//! wrapper that builds a [`SweepScheduler`](crate::scheduler::SweepScheduler),
-//! runs the single manifest, and tears the fleet down. Callers that
-//! want to run *several* sweeps through one resident fleet use the
-//! scheduler directly. This module keeps the contracts both share:
-//! worker events, links, factories, options, and stats.
+//! already written off still settles its shard (shard values are
+//! deterministic, so *any* structurally valid copy is the right copy),
+//! and the retry's duplicate is dropped.
 
 use std::io::Write as _;
 use std::sync::mpsc::Sender;
@@ -191,7 +185,7 @@ impl WorkerFactory for ProcessWorkerFactory {
     }
 }
 
-/// One shard of work for [`run_sweep`].
+/// One shard of work for the [`SweepScheduler`](crate::scheduler::SweepScheduler).
 #[derive(Debug, Clone)]
 pub struct ShardInput {
     /// Opaque job payload, forwarded to workers verbatim.
@@ -203,8 +197,7 @@ pub struct ShardInput {
 /// Failure-policy knobs.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Fleet size to spawn ([`run_sweep`] clamps this to the shard
-    /// count; min 1).
+    /// Fleet size to spawn (min 1).
     pub workers: usize,
     /// Per-shard wall-clock deadline; an overrun quarantines the
     /// worker and retries the shard.
@@ -298,55 +291,4 @@ impl std::fmt::Display for SweepStats {
             self.cache_evictions
         )
     }
-}
-
-/// A completed sweep: per-shard values in manifest order, plus the
-/// fault ledger.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Shard value vectors, indexed by manifest position.
-    pub values: Vec<Vec<Option<f64>>>,
-    /// What it took to get them.
-    pub stats: SweepStats,
-}
-
-/// Runs `shards` to completion across a worker fleet, returning every
-/// shard's values in manifest order.
-///
-/// `exec` is the in-process fallback executor — the same computation
-/// the workers perform, minus the process boundary. It runs when a
-/// shard exhausts its delivery attempts or when no healthy workers
-/// remain (including "none ever spawned"), so a sweep *completes* under
-/// any failure pattern the fabric can see.
-///
-/// This is the one-shot shape: spawn a fleet, run one manifest, tear
-/// the fleet down. To run several sweeps through one resident fleet,
-/// use [`SweepScheduler`](crate::scheduler::SweepScheduler) directly.
-///
-/// # Errors
-///
-/// Fails only when a shard cannot be computed at all — i.e. the
-/// in-process fallback itself reports an error. Worker-side failures
-/// never surface here; they are retried away.
-pub fn run_sweep<E>(
-    inputs: Vec<ShardInput>,
-    opts: &SweepOptions,
-    factory: &dyn WorkerFactory,
-    exec: E,
-) -> Result<SweepOutcome, String>
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-{
-    if inputs.is_empty() {
-        return Ok(SweepOutcome {
-            values: Vec::new(),
-            stats: SweepStats::default(),
-        });
-    }
-    let mut opts = opts.clone();
-    opts.workers = opts.workers.clamp(1, inputs.len());
-    let mut scheduler = crate::scheduler::SweepScheduler::new(opts, factory);
-    scheduler.run_sweep(inputs, exec)
-    // The scheduler drops here, killing the fleet — the one-shot
-    // contract callers of this function rely on.
 }

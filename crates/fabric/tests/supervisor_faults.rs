@@ -10,36 +10,12 @@ use std::time::Duration;
 
 use pbbf_fabric::protocol::{result_reply, ShardError, ShardSpec, WorkerReply};
 use pbbf_fabric::{
-    run_sweep, CacheTelemetry, ShardInput, SweepOptions, SweepScheduler, WorkerEvent,
-    WorkerFactory, WorkerLink,
+    CacheTelemetry, SweepOptions, SweepScheduler, WorkerEvent, WorkerFactory, WorkerLink,
 };
-use serde::{Deserialize, Serialize};
-use serde_json::Value as Json;
 
-/// The mock job: shard `k` must produce `n` values `k*100 + i`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct MockJob {
-    k: u64,
-    n: u64,
-}
+mod common;
 
-fn inputs(shards: u64, runs: u64) -> Vec<ShardInput> {
-    (0..shards)
-        .map(|k| ShardInput {
-            job: serde::to_value(&MockJob { k, n: runs }),
-            expect: runs as usize,
-        })
-        .collect()
-}
-
-fn expected_values(k: u64, n: u64) -> Vec<Option<f64>> {
-    (0..n).map(|i| Some((k * 100 + i) as f64)).collect()
-}
-
-fn exec(job: &Json) -> Result<Vec<Option<f64>>, String> {
-    let job: MockJob = serde::from_value(job.clone()).map_err(|e| e.to_string())?;
-    Ok(expected_values(job.k, job.n))
-}
+use common::{assert_all_values, exec, expected_values, inputs, sweep_on, sweep_once, MockJob};
 
 fn valid_reply(spec: &ShardSpec) -> String {
     let job: MockJob = serde::from_value(spec.job.clone()).expect("mock job");
@@ -197,17 +173,10 @@ fn opts(workers: usize) -> SweepOptions {
     }
 }
 
-fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
-    assert_eq!(values.len(), shards as usize);
-    for (k, vals) in values.iter().enumerate() {
-        assert_eq!(vals, &expected_values(k as u64, runs), "shard {k}");
-    }
-}
-
 #[test]
 fn healthy_fleet_completes() {
     let factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
-    let out = run_sweep(inputs(8, 3), &opts(3), &factory, exec).unwrap();
+    let out = sweep_once(inputs(8, 3), &opts(3), &factory);
     assert_all_values(&out.values, 8, 3);
     assert_eq!(out.stats.workers_spawned, 3);
     assert_eq!(out.stats.retries, 0);
@@ -224,7 +193,7 @@ fn crashed_shard_retries_on_a_healthy_worker() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(6, 2), &opts(3), &factory, exec).unwrap();
+    let out = sweep_once(inputs(6, 2), &opts(3), &factory);
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.crashes, 1);
     assert!(out.stats.retries >= 1);
@@ -242,7 +211,7 @@ fn hung_shard_times_out_quarantines_and_retries() {
     });
     let mut o = opts(3);
     o.shard_timeout = Duration::from_millis(50);
-    let out = run_sweep(inputs(5, 2), &o, &factory, exec).unwrap();
+    let out = sweep_once(inputs(5, 2), &o, &factory);
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.timeouts, 1);
     assert_eq!(out.stats.quarantined, 1, "a wedged worker is not reused");
@@ -257,7 +226,7 @@ fn corrupt_reply_is_rejected_and_retried() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(4, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &opts(2), &factory);
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
     assert_eq!(out.stats.quarantined, 0, "one strike is forgiven");
@@ -275,7 +244,7 @@ fn wrong_length_reply_is_corrupt() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(5, 3), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(5, 3), &opts(2), &factory);
     assert_all_values(&out.values, 5, 3);
     assert_eq!(out.stats.corrupt, 1);
 }
@@ -292,7 +261,7 @@ fn persistently_corrupt_worker_is_quarantined() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(8, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(8, 2), &opts(2), &factory);
     assert_all_values(&out.values, 8, 2);
     assert_eq!(out.stats.quarantined, 1);
     assert!(out.stats.corrupt >= 2, "strikes accumulated to the limit");
@@ -302,7 +271,7 @@ fn persistently_corrupt_worker_is_quarantined() {
 fn spawn_failure_degrades_to_in_process() {
     let mut factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
     factory.fail_slots = (0..3).collect();
-    let out = run_sweep(inputs(6, 2), &opts(3), &factory, exec).unwrap();
+    let out = sweep_once(inputs(6, 2), &opts(3), &factory);
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.workers_spawned, 0);
     assert_eq!(out.stats.spawn_failures, 3);
@@ -314,7 +283,7 @@ fn fleet_collapse_drains_in_process() {
     // The only worker dies on its first shard; everything else must
     // complete through the in-process drain.
     let factory = MockFactory::new(|_, _| vec![Action::Die]);
-    let out = run_sweep(inputs(5, 2), &opts(1), &factory, exec).unwrap();
+    let out = sweep_once(inputs(5, 2), &opts(1), &factory);
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.crashes, 1);
     assert_eq!(out.stats.inproc_shards, 5);
@@ -329,7 +298,7 @@ fn duplicate_replies_fold_once() {
             Action::Reply(valid_reply(spec)),
         ]
     });
-    let out = run_sweep(inputs(7, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(7, 2), &opts(2), &factory);
     assert_all_values(&out.values, 7, 2);
     assert_eq!(out.stats.corrupt, 0, "duplicates are not corruption");
 }
@@ -349,7 +318,7 @@ fn refused_shards_fall_back_to_in_process() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(5, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(5, 2), &opts(2), &factory);
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.refused, 4, "one refusal per worker attempt");
     assert_eq!(out.stats.inproc_shards, 1);
@@ -364,7 +333,7 @@ fn garbage_line_is_a_strike_not_a_crash() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(4, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &opts(2), &factory);
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
 }
@@ -372,7 +341,7 @@ fn garbage_line_is_a_strike_not_a_crash() {
 #[test]
 fn empty_manifest_is_a_noop() {
     let factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
-    let out = run_sweep(Vec::new(), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(Vec::new(), &opts(2), &factory);
     assert!(out.values.is_empty());
     assert_eq!(out.stats.workers_spawned, 0);
 }
@@ -398,7 +367,7 @@ fn silent_remote_host_trips_liveness_not_the_shard_deadline() {
     factory.local_slots = vec![1];
     let mut o = opts(2);
     o.liveness_timeout = Duration::from_millis(50);
-    let out = run_sweep(inputs(5, 2), &o, &factory, exec).unwrap();
+    let out = sweep_once(inputs(5, 2), &o, &factory);
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.hosts_lost, 1);
     assert_eq!(out.stats.quarantined, 1);
@@ -420,7 +389,7 @@ fn local_workers_are_exempt_from_liveness() {
     let mut o = opts(2);
     o.liveness_timeout = Duration::from_millis(20);
     o.shard_timeout = Duration::from_millis(120);
-    let out = run_sweep(inputs(4, 2), &o, &factory, exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &o, &factory);
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.hosts_lost, 0);
     assert_eq!(out.stats.timeouts, 1, "the deadline caught it instead");
@@ -439,7 +408,7 @@ fn transport_reset_requeues_without_losing_the_worker() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(6, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(6, 2), &opts(2), &factory);
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.crashes, 0);
@@ -471,7 +440,7 @@ fn heartbeat_telemetry_aggregates_across_the_fleet() {
             Action::Reply(heartbeat_line(t)),
         ]
     });
-    let out = run_sweep(inputs(6, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(6, 2), &opts(2), &factory);
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.cache_hits, 12);
     assert_eq!(out.stats.cache_misses, 5);
@@ -503,7 +472,7 @@ fn reconnect_accumulates_both_sessions_telemetry() {
         ],
         _ => vec![Action::Reply(valid_reply(spec))],
     });
-    let out = run_sweep(inputs(2, 2), &opts(1), &factory, exec).unwrap();
+    let out = sweep_once(inputs(2, 2), &opts(1), &factory);
     assert_all_values(&out.values, 2, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.crashes, 0);
@@ -535,7 +504,7 @@ fn corrupt_duplicate_naming_another_shard_does_not_yank_the_current_one() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(4, 2), &opts(2), &factory, exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &opts(2), &factory);
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
     assert_eq!(out.stats.retries, 0, "the in-flight shard was not requeued");
@@ -566,7 +535,7 @@ fn late_duplicate_frees_only_the_replying_worker() {
     o.shard_timeout = ST;
     o.backoff_base = Duration::from_millis(375);
     o.backoff_cap = Duration::from_millis(1000);
-    let out = run_sweep(inputs(4, 2), &o, &factory, exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &o, &factory);
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.timeouts, 1, "only the original wedge timed out");
     assert_eq!(
@@ -591,7 +560,7 @@ fn inproc_escalation_is_not_counted_as_a_retry() {
         });
         vec![Action::Reply(serde_json::to_string(&refusal).unwrap())]
     });
-    let out = run_sweep(inputs(1, 2), &opts(1), &factory, exec).unwrap();
+    let out = sweep_once(inputs(1, 2), &opts(1), &factory);
     assert_all_values(&out.values, 1, 2);
     assert_eq!(out.stats.refused, 4, "one refusal per delivery");
     assert_eq!(
@@ -669,9 +638,9 @@ fn resident_fleet_survives_across_sweeps_with_disjoint_telemetry() {
         spawns: AtomicUsize::new(0),
     };
     let mut sched = SweepScheduler::new(opts(2), &factory);
-    let out1 = sched.run_sweep(inputs(4, 2), exec).unwrap();
+    let out1 = sweep_on(&mut sched, inputs(4, 2));
     assert_all_values(&out1.values, 4, 2);
-    let out2 = sched.run_sweep(inputs(3, 2), exec).unwrap();
+    let out2 = sweep_on(&mut sched, inputs(3, 2));
     assert_all_values(&out2.values, 3, 2);
     assert_eq!(factory.spawns.load(Ordering::SeqCst), 2, "no respawn");
     assert_eq!(out2.stats.workers_spawned, 2);
@@ -705,9 +674,9 @@ fn stale_reply_from_a_previous_sweep_is_ignored() {
         }
     });
     let mut sched = SweepScheduler::new(opts(2), &factory);
-    let out1 = sched.run_sweep(inputs(4, 2), exec).unwrap();
+    let out1 = sweep_on(&mut sched, inputs(4, 2));
     assert_all_values(&out1.values, 4, 2);
-    let out2 = sched.run_sweep(inputs(3, 2), exec).unwrap();
+    let out2 = sweep_on(&mut sched, inputs(3, 2));
     assert_all_values(&out2.values, 3, 2);
     assert_eq!(out2.stats.corrupt, 0, "a stale reply is not corruption");
     assert_eq!(out2.stats.retries, 0);

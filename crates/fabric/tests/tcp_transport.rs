@@ -1,7 +1,7 @@
 //! Loopback-socket tests for the TCP transport: every failure mode a
 //! real network adds — torn writes, half-open connections, garbage,
 //! slow peers, duplicate replies after reconnect — must end in the
-//! exact values a faultless run produces, because the merger folds by
+//! exact values a faultless run produces, because results fold by
 //! manifest position and shard values are deterministic.
 //!
 //! The worker side is either the real [`serve_listener`] loop (happy
@@ -16,43 +16,13 @@ use std::time::Duration;
 
 use pbbf_fabric::protocol::{result_reply, ShardSpec, WorkerReply};
 use pbbf_fabric::{
-    run_sweep, serve_listener, CacheTelemetry, ServeOptions, ShardInput, SweepOptions, TcpOptions,
-    TcpWorkerFactory,
+    serve_listener, CacheTelemetry, ServeOptions, SweepOptions, TcpOptions, TcpWorkerFactory,
 };
-use serde::{Deserialize, Serialize};
+
+mod common;
+
+use common::{assert_all_values, exec, expected_values, inputs, sweep_once, MockJob};
 use serde_json::Value as Json;
-
-/// The mock job: shard `k` must produce `n` values `k*100 + i`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct MockJob {
-    k: u64,
-    n: u64,
-}
-
-fn inputs(shards: u64, runs: u64) -> Vec<ShardInput> {
-    (0..shards)
-        .map(|k| ShardInput {
-            job: serde::to_value(&MockJob { k, n: runs }),
-            expect: runs as usize,
-        })
-        .collect()
-}
-
-fn expected_values(k: u64, n: u64) -> Vec<Option<f64>> {
-    (0..n).map(|i| Some((k * 100 + i) as f64)).collect()
-}
-
-fn exec(job: &Json) -> Result<Vec<Option<f64>>, String> {
-    let job: MockJob = serde::from_value(job.clone()).map_err(|e| e.to_string())?;
-    Ok(expected_values(job.k, job.n))
-}
-
-fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
-    assert_eq!(values.len(), shards as usize);
-    for (k, vals) in values.iter().enumerate() {
-        assert_eq!(vals, &expected_values(k as u64, runs), "shard {k}");
-    }
-}
 
 /// Fast transport knobs so fault tests finish in milliseconds.
 fn tcp_opts() -> TcpOptions {
@@ -155,7 +125,7 @@ fn loopback_sweep_completes_and_aggregates_telemetry() {
         };
         let _ = serve_listener(&listener, &options, exec, telemetry);
     });
-    let out = run_sweep(inputs(4, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &sweep_opts(1), &factory(&addr));
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.workers_spawned, 1);
     assert_eq!(out.stats.hosts_lost, 0);
@@ -188,7 +158,7 @@ fn partial_line_at_disconnect_is_struck_and_retried() {
         let (stream, _) = listener.accept().expect("second connection");
         serve_honestly(stream);
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(3, 2), &sweep_opts(1), &factory(&addr));
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.corrupt, 1, "the torn fragment was struck");
     assert_eq!(out.stats.reconnects, 1);
@@ -216,7 +186,7 @@ fn half_open_silent_peer_trips_host_liveness() {
     });
     let mut o = sweep_opts(1);
     o.liveness_timeout = Duration::from_millis(100);
-    let out = run_sweep(inputs(3, 2), &o, &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(3, 2), &o, &factory(&addr));
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.hosts_lost, 1);
     assert_eq!(out.stats.timeouts, 0, "liveness fired, not the deadline");
@@ -244,7 +214,7 @@ fn garbage_mid_stream_is_a_strike_not_a_disconnect() {
             );
         }
     });
-    let out = run_sweep(inputs(4, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &sweep_opts(1), &factory(&addr));
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
     assert_eq!(out.stats.reconnects, 0, "the connection itself was fine");
@@ -273,7 +243,7 @@ fn slow_writer_trips_the_shard_deadline_not_liveness() {
     let mut o = sweep_opts(1);
     o.shard_timeout = Duration::from_millis(150);
     o.liveness_timeout = Duration::from_secs(5);
-    let out = run_sweep(inputs(2, 2), &o, &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(2, 2), &o, &factory(&addr));
     assert_all_values(&out.values, 2, 2);
     assert_eq!(out.stats.timeouts, 1);
     assert_eq!(
@@ -310,7 +280,7 @@ fn duplicate_replies_after_reconnect_fold_once() {
             );
         }
     });
-    let out = run_sweep(inputs(4, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(4, 2), &sweep_opts(1), &factory(&addr));
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.corrupt, 0, "duplicates are not corruption");
@@ -361,7 +331,7 @@ fn reconnect_preserves_session_telemetry_exactly() {
             write_reply(&mut writer, &valid_reply(&spec));
         }
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(3, 2), &sweep_opts(1), &factory(&addr));
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.crashes, 0);
@@ -391,7 +361,7 @@ fn unreachable_host_is_a_spawn_failure() {
             ..tcp_opts()
         },
     };
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &f, exec).unwrap();
+    let out = sweep_once(inputs(3, 2), &sweep_opts(1), &f);
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.workers_spawned, 0);
     assert_eq!(out.stats.spawn_failures, 1);
@@ -414,7 +384,7 @@ fn killed_listener_exhausts_reconnects_and_reads_as_gone() {
         let _ = writer.shutdown(std::net::Shutdown::Both);
         drop(listener); // refuse all reconnects: the "host went down" shape
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = sweep_once(inputs(3, 2), &sweep_opts(1), &factory(&addr));
     assert_all_values(&out.values, 3, 2);
     assert_eq!(
         out.stats.crashes, 1,

@@ -150,42 +150,22 @@ where
     par_map((0..n).collect(), f)
 }
 
-/// Point-level fan-out: runs `f(group, run)` for every pair in
-/// `0..groups × 0..runs` as **one flat job list** (so all groups' runs
-/// schedule together and saturate many-core boxes even when a single
-/// group has few runs), then regroups the results: `out[g][r] = f(g, r)`.
+/// Point-level fan-out in run chunks: `f(group, r0..r1)` computes runs
+/// `r0..r1` of `group` and returns their results in run order. The
+/// chunks of every pair in `0..groups × 0..runs` form **one flat job
+/// list** (so all groups' runs schedule together and saturate many-core
+/// boxes even when a single group has few runs), and the results are
+/// regrouped: `out[g][r]` = run `r` of group `g`.
 ///
 /// Grouping preserves run order within each group, so a per-group fold
 /// over `out[g]` is bitwise identical to the sequential
-/// group-by-group/run-by-run loop regardless of thread count. `runs == 0`
-/// yields `groups` empty vectors.
-pub fn par_run_grouped<R, F>(groups: usize, runs: usize, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    let jobs: Vec<(usize, usize)> = (0..groups)
-        .flat_map(|g| (0..runs).map(move |r| (g, r)))
-        .collect();
-    let mut flat = par_map(jobs, |(g, r)| f(g, r)).into_iter();
-    (0..groups)
-        .map(|_| flat.by_ref().take(runs).collect())
-        .collect()
-}
-
-/// Chunked point-level fan-out: like [`par_run_grouped`], but the unit
-/// of scheduling is a **run chunk** — `f(group, r0..r1)` computes runs
-/// `r0..r1` of `group` and returns their results in run order. The
-/// chunks of all groups form one flat job list, and the returned
-/// nesting is identical to [`par_run_grouped`]: `out[g][r]` = run `r`
-/// of group `g`.
-///
-/// A chunk job can share setup across its runs — a point lookup, a
-/// reused simulator — instead of paying it per run, and the chunk is
-/// also the natural shard for work shipped elsewhere; chunk boundaries
-/// stay deterministic (a pure function of `runs` and `chunk`, never of
-/// scheduling).
-/// `chunk == 1` degenerates to [`par_run_grouped`]'s job list.
+/// group-by-group/run-by-run loop regardless of thread count. A chunk
+/// job can share setup across its runs — a point lookup, a reused
+/// simulator — instead of paying it per run, and the chunk is also the
+/// natural shard for work shipped elsewhere; chunk boundaries stay
+/// deterministic (a pure function of `runs` and `chunk`, never of
+/// scheduling). `chunk == 1` schedules every run as its own job.
+/// `runs == 0` yields `groups` empty vectors.
 ///
 /// # Panics
 ///
@@ -256,26 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn grouped_runs_regroup_in_order() {
-        let out = par_run_grouped(3, 4, |g, r| 10 * g + r);
-        assert_eq!(
-            out,
-            vec![vec![0, 1, 2, 3], vec![10, 11, 12, 13], vec![20, 21, 22, 23]]
-        );
-        assert_eq!(par_run_grouped(2, 0, |_, r| r), vec![vec![], vec![]]);
-        assert_eq!(par_run_grouped(0, 5, |g, _| g), Vec::<Vec<usize>>::new());
-    }
-
-    #[test]
-    fn chunked_runs_match_grouped() {
-        for chunk in [1, 3, 4, 7] {
+    fn chunked_runs_regroup_in_order() {
+        let want: Vec<Vec<usize>> = (0..3)
+            .map(|g| (0..7).map(|r| 10 * g + r).collect())
+            .collect();
+        for chunk in [1, 3, 4, 7, 8] {
             let out =
                 par_run_grouped_chunked(3, 7, chunk, |g, rs| rs.map(|r| 10 * g + r).collect());
-            assert_eq!(
-                out,
-                par_run_grouped(3, 7, |g, r| 10 * g + r),
-                "chunk {chunk}"
-            );
+            assert_eq!(out, want, "chunk {chunk}");
         }
         assert_eq!(
             par_run_grouped_chunked(2, 0, 4, |_, rs| rs.collect()),

@@ -6,7 +6,7 @@
 //! pbbf ideal     --grid 25 --p 0.5 --q 0.5      run the Section-4 simulator
 //! pbbf net       --p 0.25 --q 0.25 --delta 10   run the Section-5 simulator
 //! pbbf reproduce [--paper] [fig13 ...]          regenerate paper exhibits
-//! pbbf sweep     --workers 4 [fig13 ...]        multi-process figure sweep
+//! pbbf sweep     --workers 4 [fig04 ...]        multi-process figure sweep
 //! pbbf sweep     --figs fig13,fig17 [...]       several figures, ONE fleet
 //! pbbf sweep     --hosts a:7801,b:7801 [...]    ... mixing in TCP workers
 //! pbbf worker                                   (internal) sweep shard executor
@@ -31,7 +31,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pbbf::prelude::*;
-use pbbf_experiments::sweep::{assemble_sweep, run_sweep_shard, sweep_manifest, ShardJob};
+use pbbf_experiments::sweep::{
+    assemble_sweep, run_sweep_shard, shardable_figures, sweep_manifest, sweepable_figures, ShardJob,
+};
 use pbbf_fabric::{
     CacheTelemetry, HybridWorkerFactory, ProcessWorkerFactory, ServeOptions, ShardInput,
     SweepOptions, SweepScheduler, TcpWorkerFactory, WorkerFactory,
@@ -79,7 +81,8 @@ fn print_help() {
          \x20 reproduce  [--paper] [--plot] [--seed <n>] [table1 fig04 ... fig18]\n\
          \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--hosts <h:p,...>]\n\
          \x20            [--figs fig13,fig17,...] [--shard-timeout <s>] [--liveness <s>]\n\
-         \x20            [fig13 ... fig18]        (all figures share one resident fleet)\n\
+         \x20            [fig04 ... fig18]        sweep figures fig04-fig11, fig13-fig18\n\
+         \x20                                     (default fig13-fig18; one resident fleet)\n\
          \x20 worker     executes sweep shards from stdin (internal), or over TCP with\n\
          \x20            [--listen <addr:port>] [--heartbeat <s>] [--once]\n\
          \x20 help\n\n\
@@ -538,16 +541,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         Effort::quick()
     };
     let seed = get_u64(&flags, "seed", 2005)?;
-    let sweepable = pbbf_experiments::sweep::sweepable_figures();
     // `--figs a,b,c` and bare positionals are the same request; the
     // flag form exists so scripts can say "these figures, one fleet"
-    // in a single token. No figures at all means every sweepable one.
+    // in a single token. No figures at all means the Section-5 set.
     let mut figures: Vec<String> = positional;
     if let Some(spec) = flags.get("figs") {
         figures.extend(parse_figs(spec)?);
     }
     if figures.is_empty() {
-        figures = sweepable.iter().map(ToString::to_string).collect();
+        figures = sweepable_figures()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
     }
     let hosts = match flags.get("hosts") {
         Some(spec) => parse_hosts(spec)?,
@@ -559,7 +564,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let mut manifests = Vec::with_capacity(figures.len());
     for fig in &figures {
         manifests.push(sweep_manifest(fig, &effort, seed).ok_or_else(|| {
-            format!("`{fig}` is not a shardable figure (choose from {sweepable:?})")
+            format!(
+                "`{fig}` is not a shardable figure (choose from {:?})",
+                shardable_figures()
+            )
         })?);
     }
     let queue: Vec<Vec<ShardInput>> = manifests

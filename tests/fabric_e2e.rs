@@ -73,13 +73,17 @@ fn multi_figure_resident_sweep_is_bitwise_identical() {
     // `--figs` runs several figures through ONE resident fleet; the
     // multiplexed output must equal the figures reproduced one at a
     // time, byte for byte — scheduling across sweeps must be exactly
-    // as invisible as scheduling within one.
-    let clean = run(&["reproduce", "fig13", FIGURE, "--seed", SEED], &[]);
+    // as invisible as scheduling within one, whichever simulator a
+    // figure runs (fig09 is a Section-4 ideal-sim sweep).
+    let clean = run(
+        &["reproduce", "fig09", "fig13", FIGURE, "--seed", SEED],
+        &[],
+    );
     let swept = run(
         &[
             "sweep",
             "--figs",
-            &format!("fig13,{FIGURE}"),
+            &format!("fig09,fig13,{FIGURE}"),
             "--seed",
             SEED,
             "--workers",
