@@ -29,7 +29,7 @@ fn main() {
         cfg.delta = 10.0;
         cfg.lambda = lambda;
         cfg.boundary_engine = BoundaryEngine::Dense;
-        let deployment = NetSim::draw_deployment(&cfg, 4);
+        let deployment = NetSim::draw_deployment(&cfg, 4).unwrap();
         println!("--- dur {dur} nodes {nodes} lambda {lambda}");
         time_engine(cfg, "dense", &deployment);
         let mut lazy = cfg;

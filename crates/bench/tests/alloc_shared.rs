@@ -66,7 +66,7 @@ fn shared_run_skips_the_topology_copy() {
         cfg,
         NetMode::SleepScheduled(pbbf_core::PbbfParams::new(0.25, 0.05).expect("valid")),
     );
-    let deployment = NetSim::draw_deployment(&cfg, 4);
+    let deployment = NetSim::draw_deployment(&cfg, 4).unwrap();
     let topo_bytes = topology_heap_bytes(deployment.topology());
     assert!(topo_bytes > 100_000, "scenario large enough to measure");
 

@@ -22,8 +22,9 @@
 //!   immediate broadcasts.
 //!
 //! [`PbbfEngine`] implements the paper's Figure-3 pseudo-code on top of any
-//! RNG; [`DuplicateFilter`] implements the "drop duplicate broadcasts" rule
-//! that makes each broadcast traverse a link at most once.
+//! RNG. The "drop duplicate broadcasts" rule that makes each broadcast
+//! traverse a link at most once lives with the simulators' per-node state
+//! (`pbbf_mac::MacState`'s sorted `known` vector).
 //!
 //! # The analysis
 //!
@@ -73,12 +74,10 @@ mod engine;
 mod error;
 pub mod operating_point;
 mod params;
-mod seen;
 
 pub use engine::{ForwardDecision, PbbfEngine};
 pub use error::ParamError;
 pub use params::{AnalysisParams, PbbfParams, PowerProfile, SleepSchedule};
-pub use seen::DuplicateFilter;
 
 /// Re-export of the reliability condition of Remark 1 (Section 4.1): the
 /// probability that a PBBF link is open, `p_edge = 1 − p·(1 − q)`.

@@ -1,6 +1,7 @@
 //! Effort presets: paper-scale vs quick.
 
 use pbbf_des::SimTime;
+use pbbf_topology::Grid;
 use serde::{Deserialize, Serialize};
 
 /// How much work each experiment spends.
@@ -73,11 +74,15 @@ impl Effort {
     }
 
     /// Checks the fields a figure sweep reads: at least two q points,
-    /// at least one run, a non-empty ideal grid, and a positive, finite
-    /// net-sim horizon of at most half of [`SimTime`]'s range (which
-    /// leaves room for the events a run schedules past its horizon).
+    /// at least one run, an ideal grid side in `1..=`[`Grid::MAX_SIDE`],
+    /// and a positive, finite net-sim horizon of at most half of
+    /// [`SimTime`]'s range (which leaves room for the events a run
+    /// schedules past its horizon).
     /// A shard worker checks a wire job's effort with this before
     /// simulating, so a malformed job is refused instead of panicking.
+    /// The grid cap only keeps side² within a `NodeId`; it is not a
+    /// memory bound, and a side in the tens of thousands still fails
+    /// to allocate.
     ///
     /// # Errors
     ///
@@ -92,8 +97,12 @@ impl Effort {
         if self.runs == 0 {
             return Err("runs must be positive".into());
         }
-        if self.ideal_grid_side == 0 {
-            return Err("ideal_grid_side must be positive".into());
+        if !(1..=Grid::MAX_SIDE).contains(&self.ideal_grid_side) {
+            return Err(format!(
+                "ideal_grid_side must lie in 1..={}, got {}",
+                Grid::MAX_SIDE,
+                self.ideal_grid_side
+            ));
         }
         let secs = self.net_duration_secs;
         let max = SimTime::MAX.as_secs() / 2.0;

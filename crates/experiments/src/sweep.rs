@@ -734,6 +734,9 @@ mod tests {
         let mut job = sweep_manifest("fig04", &e, 1).unwrap().shards[0].clone();
         job.effort.ideal_grid_side = 0;
         assert!(run_sweep_shard(&job).is_err());
+        // A side whose square overflows a NodeId.
+        job.effort.ideal_grid_side = 70_000;
+        assert!(run_sweep_shard(&job).is_err());
         for duration in [f64::NAN, f64::INFINITY, -5.0, 0.0, 1e12] {
             let mut job = sweep_manifest("fig13", &e, 1).unwrap().shards[0].clone();
             job.effort.net_duration_secs = duration;

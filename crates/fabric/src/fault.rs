@@ -14,8 +14,10 @@
 //! worker happens to receive first — the shape cross-host CI needs,
 //! where shard→host assignment is a scheduling detail.
 //!
-//! Only [`worker_loop`](crate::worker::worker_loop) consults the plan;
-//! the supervisor never does, so a sweep's *recovery* is what gets
+//! Only the workers consult the plan — the pipe loop
+//! ([`worker_loop_with`](crate::worker::worker_loop_with)) and the socket
+//! server ([`serve_listener`](crate::tcp::serve_listener)) alike; the
+//! supervisor never does, so a sweep's *recovery* is what gets
 //! tested, not a short-circuit. Determinism note: faults keyed on shard
 //! id and attempt are reproducible by construction — no dice rolls.
 

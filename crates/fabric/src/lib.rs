@@ -51,4 +51,4 @@ pub use supervisor::{
     WorkerLink,
 };
 pub use tcp::{serve_listener, HybridWorkerFactory, ServeOptions, TcpOptions, TcpWorkerFactory};
-pub use worker::{worker_loop, worker_loop_with};
+pub use worker::worker_loop_with;

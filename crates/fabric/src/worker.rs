@@ -1,9 +1,9 @@
 //! The worker side of the fabric: a stdin→stdout shard executor.
 //!
-//! `pbbf worker` calls [`worker_loop`] (or [`worker_loop_with`], which
-//! also reports deployment-cache telemetry) with an executor closure;
-//! the loop reads one [`ShardSpec`](crate::protocol::ShardSpec) JSON
-//! line at a time, executes it, and writes one
+//! `pbbf worker` calls [`worker_loop_with`] with an executor closure
+//! and a deployment-cache telemetry source; the loop reads one
+//! [`ShardSpec`](crate::protocol::ShardSpec) JSON line at a time,
+//! executes it, and writes one
 //! [`WorkerReply`](crate::protocol::WorkerReply) line back, flushed per
 //! shard so the supervisor sees results the moment they exist. EOF on
 //! stdin is the shutdown signal — the supervisor just closes the pipe.
@@ -15,7 +15,7 @@
 //!
 //! Fault injection (`PBBF_FAULT`, parsed by
 //! [`FaultPlan::from_env`](crate::fault::FaultPlan::from_env)) is
-//! honored here and only here.
+//! honored by both worker transports, never by the supervisor.
 
 use std::io::{BufRead, Write};
 
@@ -82,8 +82,7 @@ fn render_fallback_error(shard_id: u32, msg: &str) -> String {
 }
 
 /// Runs the worker loop over this process's stdin/stdout until EOF,
-/// returning the process exit code. No telemetry heartbeats are
-/// emitted; see [`worker_loop_with`].
+/// returning the process exit code.
 ///
 /// `exec` maps an opaque job payload to its per-run values; an `Err`
 /// is reported to the supervisor as a refused shard (the worker stays
@@ -91,35 +90,18 @@ fn render_fallback_error(shard_id: u32, msg: &str) -> String {
 /// unrecoverable — the worker can't even name the shard to refuse it —
 /// so the loop exits nonzero and lets the supervisor's liveness
 /// handling reassign whatever was in flight.
-pub fn worker_loop<E>(exec: E) -> i32
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-{
-    worker_loop_impl(exec, None::<fn() -> CacheTelemetry>)
-}
-
-/// [`worker_loop`], plus telemetry: after every reply the worker also
-/// writes a [`WorkerReply::Heartbeat`] line carrying `telemetry()`'s
-/// counters as a delta from loop start, so the supervisor's
-/// `SweepStats` can aggregate deployment-cache behavior across the
-/// fleet.
+///
+/// After every reply the worker also writes a
+/// [`WorkerReply::Heartbeat`] line carrying `telemetry()`'s counters as
+/// a delta from loop start, so the supervisor's `SweepStats` can
+/// aggregate deployment-cache behavior across the fleet.
 pub fn worker_loop_with<E, T>(exec: E, telemetry: T) -> i32
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
     T: Fn() -> CacheTelemetry,
 {
-    worker_loop_impl(exec, Some(telemetry))
-}
-
-fn worker_loop_impl<E, T>(exec: E, telemetry: Option<T>) -> i32
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-    T: Fn() -> CacheTelemetry,
-{
     let plan = FaultPlan::from_env();
-    let baseline = telemetry
-        .as_ref()
-        .map_or_else(CacheTelemetry::default, |t| t());
+    let baseline = telemetry();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
@@ -140,11 +122,9 @@ where
             SpecOutcome::Crash(code) => return code,
         };
         let mut rendered = render_reply(&reply, spec.id);
-        if let Some(telemetry) = &telemetry {
-            let beat = WorkerReply::Heartbeat(telemetry().saturating_sub(baseline));
-            rendered.push('\n');
-            rendered.push_str(&render_reply(&beat, spec.id));
-        }
+        let beat = WorkerReply::Heartbeat(telemetry().saturating_sub(baseline));
+        rendered.push('\n');
+        rendered.push_str(&render_reply(&beat, spec.id));
         if writeln!(out, "{rendered}")
             .and_then(|()| out.flush())
             .is_err()

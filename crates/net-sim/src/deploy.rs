@@ -287,7 +287,10 @@ impl DeploymentCache {
         // parallel. Two workers racing on the same key draw the same
         // deployment (it is a pure function of the key); the extra draw
         // is discarded below.
-        let drawn = Arc::new(crate::NetSim::draw_deployment(cfg, seed));
+        let drawn = Arc::new(
+            crate::NetSim::draw_deployment(cfg, seed)
+                .expect("no connected deployment found; raise delta or attempts"),
+        );
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self.lock_map();
         map.tick += 1;
@@ -386,7 +389,7 @@ mod tests {
         let cache = DeploymentCache::new();
         for seed in [1u64, 2, 3] {
             let cached = cache.get_or_draw(&cfg, seed);
-            let fresh = NetSim::draw_deployment(&cfg, seed);
+            let fresh = NetSim::draw_deployment(&cfg, seed).unwrap();
             assert_eq!(*cached, fresh, "seed {seed}");
             // Second lookup hits and returns the same allocation.
             let again = cache.get_or_draw(&cfg, seed);
@@ -428,7 +431,7 @@ mod tests {
         let cfg = NetConfig::table2();
         let cache = DeploymentCache::with_capacity(2);
         let originals: Vec<_> = (0..6u64)
-            .map(|seed| (seed, NetSim::draw_deployment(&cfg, seed)))
+            .map(|seed| (seed, NetSim::draw_deployment(&cfg, seed).unwrap()))
             .collect();
         for &(seed, _) in &originals {
             let _ = cache.get_or_draw(&cfg, seed);
@@ -447,7 +450,7 @@ mod tests {
         for seed in 10..20u64 {
             let _ = cache.get_or_draw(&cfg, seed);
         }
-        assert_eq!(*held, NetSim::draw_deployment(&cfg, 0));
+        assert_eq!(*held, NetSim::draw_deployment(&cfg, 0).unwrap());
     }
 
     #[test]

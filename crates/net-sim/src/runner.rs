@@ -124,12 +124,10 @@ impl NetSim {
     /// [`DeploymentCache`](crate::DeploymentCache) stores and shares
     /// across protocol modes.
     ///
-    /// # Panics
-    ///
-    /// Panics if no connected deployment can be drawn within
+    /// Returns `None` if no connected deployment can be drawn within
     /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
     #[must_use]
-    pub fn draw_deployment(cfg: &NetConfig, seed: u64) -> CachedDeployment {
+    pub fn draw_deployment(cfg: &NetConfig, seed: u64) -> Option<CachedDeployment> {
         let root = SimRng::new(seed);
         let mut deploy_rng = root.substream(0);
         let deployment = RandomDeployment::connected_with_density(
@@ -138,14 +136,13 @@ impl NetSim {
             cfg.delta,
             cfg.max_deploy_attempts,
             &mut deploy_rng,
-        )
-        .expect("no connected deployment found; raise delta or attempts");
+        )?;
         let mut source_rng = root.substream(1);
         let source = NodeId(source_rng.below(cfg.nodes as u64) as u32);
-        CachedDeployment {
+        Some(CachedDeployment {
             topology: Arc::new(deployment.into_topology()),
             source,
-        }
+        })
     }
 
     /// Executes one fully deterministic run.
@@ -177,7 +174,7 @@ impl NetSim {
     /// [`DeploymentCache`](crate::DeploymentCache)), with protocol
     /// randomness from `seed`.
     ///
-    /// `run_on(seed, &NetSim::draw_deployment(cfg, seed))` is bitwise
+    /// `run_on(seed, &NetSim::draw_deployment(cfg, seed)?)` is bitwise
     /// identical to `run(seed)`: the deployment draw and the per-node
     /// protocol substreams are independent streams of the same root.
     ///
@@ -199,7 +196,8 @@ impl NetSim {
         seed: u64,
         channel: impl FnOnce(Arc<pbbf_topology::Topology>) -> C,
     ) -> NetRunStats {
-        let drawn = Self::draw_deployment(&self.config, seed);
+        let drawn = Self::draw_deployment(&self.config, seed)
+            .expect("no connected deployment found; raise delta or attempts");
         self.run_core(seed, drawn.topology, drawn.source, channel)
     }
 
@@ -262,8 +260,7 @@ struct Runner<C: CollisionChannel> {
     /// beacon structure at all) and adaptive mode (every beacon closes
     /// every node's observation window, an inherently dense walk).
     lazy: bool,
-    /// Exact per-boundary replay ([`BoundaryEngine::Dense`], from the
-    /// config or the `PBBF_DENSE_BOUNDARIES` override) instead of
+    /// Exact per-boundary replay ([`BoundaryEngine::Dense`]) instead of
     /// geometric-skip batching and quiescent-frame jumps.
     dense_boundaries: bool,
     /// Pending ATIM/data/`TxEnd` events in the queue — the traffic half
@@ -368,7 +365,7 @@ impl<C: CollisionChannel> Runner<C> {
             psm,
             adaptive,
             lazy: psm && !adaptive,
-            dense_boundaries: cfg.boundary_engine.effective() == BoundaryEngine::Dense,
+            dense_boundaries: cfg.boundary_engine == BoundaryEngine::Dense,
             traffic_events: 0,
             next_gen: None,
             aw_secs: timing.atim_window().as_secs(),
@@ -1409,14 +1406,14 @@ mod tests {
         for mode in modes {
             let sim = NetSim::new(c, mode);
             for seed in [1u64, 9] {
-                let drawn = NetSim::draw_deployment(&c, seed);
+                let drawn = NetSim::draw_deployment(&c, seed).unwrap();
                 assert_eq!(sim.run_on(seed, &drawn), sim.run(seed));
             }
         }
         // Decoupling: a different deployment seed changes the scenario
         // while the protocol streams stay pinned to `seed`.
         let sim = NetSim::new(c, pbbf(0.5, 0.5));
-        let other = NetSim::draw_deployment(&c, 77);
+        let other = NetSim::draw_deployment(&c, 77).unwrap();
         let s = sim.run_on(1, &other);
         assert_eq!(s.source, other.source);
         assert_ne!(s, sim.run(1));

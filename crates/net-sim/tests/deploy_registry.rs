@@ -52,7 +52,7 @@ proptest! {
         cfg.delta = f64::from(delta_x10) / 10.0;
         let cache = DeploymentCache::new();
         let cached = cache.get_or_draw(&cfg, seed);
-        let fresh = NetSim::draw_deployment(&cfg, seed);
+        let fresh = NetSim::draw_deployment(&cfg, seed).unwrap();
         assert_bitwise_identical(&cached, &fresh);
         let again = cache.get_or_draw(&cfg, seed);
         prop_assert!(Arc::ptr_eq(&cached, &again), "hit returns the same allocation");
@@ -78,7 +78,7 @@ proptest! {
             let mut cfg = NetConfig::table2();
             cfg.nodes = nodes;
             let served = cache.get_or_draw(&cfg, seed);
-            assert_bitwise_identical(&served, &NetSim::draw_deployment(&cfg, seed));
+            assert_bitwise_identical(&served, &NetSim::draw_deployment(&cfg, seed).unwrap());
             prop_assert!(cache.len() <= capacity, "occupancy over bound");
         }
         let stats = cache.stats();
@@ -118,7 +118,7 @@ fn concurrent_first_touch_is_consistent() {
             .collect()
     });
     for seed in 0..SEEDS {
-        let fresh = NetSim::draw_deployment(&cfg, seed);
+        let fresh = NetSim::draw_deployment(&cfg, seed).unwrap();
         let canonical = &results[0][seed as usize];
         for per_thread in &results {
             let got = &per_thread[seed as usize];
@@ -183,7 +183,7 @@ proptest! {
         cfg.duration_secs = 120.0;
         let sim = NetSim::new(cfg, modes()[mode_sel as usize]);
         let reference = sim.run(seed);
-        let drawn = NetSim::draw_deployment(&cfg, seed);
+        let drawn = NetSim::draw_deployment(&cfg, seed).unwrap();
         prop_assert_eq!(&sim.run_on(seed, &drawn), &reference);
         let cached = DeploymentCache::global().get_or_draw(&cfg, seed);
         prop_assert_eq!(&sim.run_on(seed, &cached), &reference);

@@ -7,9 +7,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulation time, so
 //!   event ordering never depends on floating-point rounding.
-//! * [`EventQueue`] — a priority queue of timestamped events with *stable*
-//!   FIFO ordering among simultaneous events and O(log n) cancellation via
-//!   [`EventHandle`]s.
+//! * [`EventQueue`] — a binary min-heap of timestamped events with
+//!   *stable* FIFO ordering among simultaneous events. It has no
+//!   cancellation: no simulator ever retracts a scheduled event.
 //! * [`SimRng`] — a self-contained xoshiro256** PRNG with splitmix64
 //!   seeding and cheap independent substreams, so every node of a simulated
 //!   network gets its own reproducible random stream from one `u64` seed.
@@ -42,6 +42,6 @@ mod queue;
 mod rng;
 mod time;
 
-pub use queue::{EventHandle, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,60 +1,22 @@
-//! Stable, cancellable event queue.
+//! Stable event queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::SimTime;
 
-/// Identifies a scheduled event so it can be cancelled.
-///
-/// Carries a slot index and its generation stamp; handles stay valid (as
-/// harmless no-ops) after the event fires or is cancelled — a stale handle
-/// never aliases a newer event because slot reuse bumps the generation,
-/// and the 64-bit stamp cannot plausibly wrap within a queue's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    slot: u32,
-    generation: u64,
-}
-
-impl EventHandle {
-    fn new(slot: u32, generation: u64) -> Self {
-        Self { slot, generation }
-    }
-
-    fn slot(self) -> usize {
-        self.slot as usize
-    }
-
-    fn generation(self) -> u64 {
-        self.generation
-    }
-}
-
-/// Liveness bookkeeping for one scheduled event.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    generation: u64,
-    live: bool,
-}
-
 /// Min-heap of timestamped events with stable FIFO tie-breaking.
 ///
-/// Two properties matter for reproducible network simulation:
+/// Events scheduled for the same instant fire in the order they were
+/// scheduled. A plain `BinaryHeap` does not guarantee this, so entries
+/// carry a monotonically increasing sequence number and pop by
+/// `(time, seq)`. That total order is what makes a simulation
+/// reproducible bit for bit.
 ///
-/// 1. **Stability** — events scheduled for the same instant fire in the
-///    order they were scheduled. A plain `BinaryHeap` does not guarantee
-///    this, so entries carry a monotonically increasing sequence number.
-/// 2. **Cancellation** — MAC protocols constantly set and cancel timers
-///    (backoff suspension, ATIM timeouts). Cancellation marks a
-///    generation-stamped slot dead and is resolved lazily on pop/peek.
-///
-/// Liveness lives in a flat slot vector recycled through a free list:
-/// schedule, cancel, and pop are array indexing — no hashing, and no
-/// allocation beyond the heap's and slot vector's amortized growth. (The
-/// seed implementation kept a `HashSet<u64>` of live sequence numbers,
-/// which put a hash probe on every queue operation of the simulator's
-/// innermost loop.)
+/// There is no cancellation: the simulators never retract a scheduled
+/// event (the net-sim runner guards against double-scheduling a MAC
+/// send with per-node flags instead), so the queue holds only the heap,
+/// the sequence counter and the clock.
 ///
 /// # Examples
 ///
@@ -62,49 +24,43 @@ struct Slot {
 /// use pbbf_des::{EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// let h = q.schedule(SimTime::from_secs(2.0), "timeout");
+/// q.schedule(SimTime::from_secs(2.0), "timeout");
 /// q.schedule(SimTime::from_secs(1.0), "beacon");
-/// assert!(q.cancel(h));
-/// let (_, ev) = q.pop().unwrap();
-/// assert_eq!(ev, "beacon");
-/// assert!(q.pop().is_none());
+/// q.schedule(SimTime::from_secs(1.0), "data");
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "beacon")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1.0), "data")));
+/// assert_eq!(q.now(), SimTime::from_secs(1.0));
+/// assert_eq!(q.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry_<E>>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// One entry per allocated slot. A slot with an outstanding heap entry
-    /// is never on the free list, so at most one heap entry references any
-    /// (slot, generation) pair.
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    live_count: usize,
     now: SimTime,
 }
 
 #[derive(Debug)]
-struct Entry_<E> {
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    handle: EventHandle,
     event: E,
 }
 
-impl<E> PartialEq for Entry_<E> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<E> Eq for Entry_<E> {}
+impl<E> Eq for Entry<E> {}
 
-impl<E> PartialOrd for Entry_<E> {
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Entry_<E> {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we need earliest-first, and
         // among equals lowest sequence number first.
@@ -122,9 +78,6 @@ impl<E> EventQueue<E> {
         Self {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            live_count: 0,
             now: SimTime::ZERO,
         }
     }
@@ -135,25 +88,25 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live_count
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.heap.is_empty()
     }
 
-    /// Schedules `event` at absolute time `at` and returns its handle.
+    /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics if `at` precedes the current clock — scheduling into the past
     /// would silently corrupt causality.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
@@ -161,101 +114,19 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("slot index overflow");
-                self.slots.push(Slot {
-                    generation: 0,
-                    live: false,
-                });
-                slot
-            }
-        };
-        self.slots[slot as usize].live = true;
-        self.live_count += 1;
-        let handle = EventHandle::new(slot, self.slots[slot as usize].generation);
-        self.heap.push(Entry_ {
+        self.heap.push(Entry {
             time: at,
             seq,
-            handle,
             event,
         });
-        handle
     }
 
-    /// Whether `handle`'s event is still pending.
-    fn is_live(&self, handle: EventHandle) -> bool {
-        self.slots
-            .get(handle.slot())
-            .is_some_and(|s| s.live && s.generation == handle.generation())
-    }
-
-    /// Retires a slot whose heap entry has been popped: bump the
-    /// generation (invalidating stale handles) and recycle the index.
-    fn retire(&mut self, handle: EventHandle) {
-        let slot = &mut self.slots[handle.slot()];
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.live = false;
-        self.free.push(handle.slot() as u32);
-    }
-
-    /// Cancels a scheduled event. Returns `true` if the event was still
-    /// pending, `false` if it had already fired or been cancelled.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if !self.is_live(handle) {
-            return false;
-        }
-        // The heap entry remains and is skipped lazily on pop; the slot is
-        // recycled at that point, not here, so it cannot be reused while
-        // its entry is still queued.
-        self.slots[handle.slot()].live = false;
-        self.live_count -= 1;
-        true
-    }
-
-    /// Removes and returns the earliest live event, advancing the clock.
+    /// Removes and returns the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let was_live = self.is_live(entry.handle);
-            self.retire(entry.handle);
-            if !was_live {
-                continue; // was cancelled
-            }
-            self.live_count -= 1;
-            debug_assert!(entry.time >= self.now, "heap returned past event");
-            self.now = entry.time;
-            return Some((entry.time, entry.event));
-        }
-        None
-    }
-
-    /// The timestamp of the next live event without removing it.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Lazily purge cancelled entries from the top of the heap so the
-        // answer reflects a live event.
-        while let Some(entry) = self.heap.peek() {
-            if self.is_live(entry.handle) {
-                return Some(entry.time);
-            }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            self.retire(entry.handle);
-        }
-        None
-    }
-
-    /// Drops all pending events. The clock is preserved so causality checks
-    /// still hold for subsequent scheduling.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.free.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.generation = slot.generation.wrapping_add(1);
-            slot.live = false;
-            self.free.push(i as u32);
-        }
-        self.live_count = 0;
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.time >= self.now, "heap returned past event");
+        self.now = entry.time;
+        Some((entry.time, entry.event))
     }
 }
 
@@ -302,78 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_secs(1.0), "a");
-        q.schedule(SimTime::from_secs(2.0), "b");
-        assert!(q.cancel(h1));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_twice_is_false() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1.0), ());
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1.0), ());
-        q.pop().unwrap();
-        assert!(!q.cancel(h));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle::new(99, 0)));
-    }
-
-    #[test]
-    fn stale_handle_does_not_alias_recycled_slot() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_secs(1.0), 1);
-        q.pop().unwrap();
-        // Slot 0 is recycled for the next event with a bumped generation.
-        let h2 = q.schedule(SimTime::from_secs(2.0), 2);
-        assert_eq!(h1.slot(), h2.slot());
-        assert_ne!(h1.generation(), h2.generation());
-        assert!(!q.cancel(h1), "stale handle must not cancel the new event");
-        assert_eq!(q.pop().unwrap().1, 2);
-    }
-
-    #[test]
-    fn slots_are_recycled_not_grown() {
-        let mut q = EventQueue::new();
-        for round in 0..50 {
-            for i in 0..8 {
-                q.schedule(
-                    SimTime::from_secs(f64::from(round) + f64::from(i) * 0.01),
-                    i,
-                );
-            }
-            while q.pop().is_some() {}
-        }
-        assert!(q.slots.len() <= 8, "slot vector grew to {}", q.slots.len());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1.0), "a");
-        q.schedule(SimTime::from_secs(2.0), "b");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
-        assert_eq!(q.pop().unwrap().1, "b");
-    }
-
-    #[test]
     fn schedule_at_now_is_allowed() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1.0), 1);
@@ -393,21 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_secs(1.0), ());
-        q.schedule(SimTime::from_secs(2.0), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-        assert!(!q.cancel(h), "cleared events are gone");
-        // The queue remains fully usable after clear.
-        q.schedule(SimTime::from_secs(3.0), ());
-        assert_eq!(q.len(), 1);
-        assert!(q.pop().is_some());
-    }
-
-    #[test]
     fn interleaved_schedule_and_pop() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1.0), 1);
@@ -422,12 +206,13 @@ mod tests {
     #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_secs(1.0), ());
+        q.schedule(SimTime::from_secs(1.0), ());
         q.schedule(SimTime::from_secs(2.0), ());
         assert_eq!(q.len(), 2);
-        q.cancel(h1);
+        q.pop();
         assert_eq!(q.len(), 1);
         q.pop();
-        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
     }
 }

@@ -27,11 +27,16 @@ pub struct Grid {
 }
 
 impl Grid {
+    /// The largest side a square grid may have: `MAX_SIDE²` still fits
+    /// a [`NodeId`]. Callers that take a side from user or wire input
+    /// check it against this bound before building the grid.
+    pub const MAX_SIDE: u32 = u16::MAX as u32;
+
     /// Creates an `n × n` grid with unit spacing.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > MAX_SIDE`.
     #[must_use]
     pub fn square(n: u32) -> Self {
         Self::new(n, n, 1.0)
@@ -42,15 +47,19 @@ impl Grid {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero or spacing is not positive.
+    /// Panics if either dimension is zero, if `rows × cols` overflows a
+    /// [`NodeId`], or if spacing is not positive.
     #[must_use]
     pub fn new(rows: u32, cols: u32, spacing: f64) -> Self {
         assert!(rows > 0 && cols > 0, "empty grid {rows}x{cols}");
+        let Some(n) = rows.checked_mul(cols) else {
+            panic!("grid {rows}x{cols} has more nodes than a NodeId can number");
+        };
         assert!(
             spacing > 0.0 && spacing.is_finite(),
             "bad spacing {spacing}"
         );
-        let mut positions = Vec::with_capacity((rows * cols) as usize);
+        let mut positions = Vec::with_capacity(n as usize);
         for r in 0..rows {
             for c in 0..cols {
                 positions.push(Point2::new(c as f64 * spacing, r as f64 * spacing));
@@ -231,5 +240,11 @@ mod tests {
     #[should_panic(expected = "empty grid")]
     fn zero_grid_panics() {
         let _ = Grid::square(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "more nodes than a NodeId")]
+    fn oversized_grid_panics_instead_of_wrapping() {
+        let _ = Grid::square(Grid::MAX_SIDE + 1);
     }
 }

@@ -206,9 +206,9 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
         args,
         &[val("grid"), val("reliability"), val("runs"), val("seed")],
     )?;
-    let grid = get_count(&flags, "grid", 30, 2)?;
+    let grid = get_count(&flags, "grid", 30, 2, Grid::MAX_SIDE)?;
     let reliability = get_reliability(&flags, "reliability", 0.99)?;
-    let runs = get_count(&flags, "runs", 150, 1)?;
+    let runs = get_count(&flags, "runs", 150, 1, u32::MAX)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
     let mut rng = SimRng::new(seed);
@@ -232,10 +232,10 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
         args,
         &[val("grid"), val("p"), val("q"), val("updates"), val("seed")],
     )?;
-    let grid = get_count(&flags, "grid", 25, 1)?;
+    let grid = get_count(&flags, "grid", 25, 1, Grid::MAX_SIDE)?;
     let p = get_f64(&flags, "p", None)?;
     let q = get_f64(&flags, "q", None)?;
-    let updates = get_u64(&flags, "updates", 5)? as u32;
+    let updates = get_count(&flags, "updates", 5, 1, u32::MAX)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let params = PbbfParams::new(p, q).map_err(|e| e.to_string())?;
     let mut cfg = IdealConfig::table1();
@@ -285,7 +285,7 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     let mut cfg = NetConfig::table2();
     cfg.delta = delta;
     cfg.duration_secs = duration;
-    let stats = NetSim::new(cfg, NetMode::SleepScheduled(params)).run(seed);
+    let stats = run_net(cfg, NetMode::SleepScheduled(params), seed)?;
     let mut t = Table::new(["Metric", "Value"]);
     t.row([
         "updates generated".to_string(),
@@ -314,6 +314,18 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     t.row(["collisions".to_string(), format!("{}", stats.collisions)]);
     print!("{}", t.render());
     Ok(())
+}
+
+/// [`NetSim::run`], with a failed connected-deployment draw reported as
+/// an error instead of a panic.
+fn run_net(cfg: NetConfig, mode: NetMode, seed: u64) -> Result<NetRunStats, String> {
+    let deployment = NetSim::draw_deployment(&cfg, seed).ok_or_else(|| {
+        format!(
+            "no connected deployment of {} nodes at delta {} within {} attempts; raise --delta",
+            cfg.nodes, cfg.delta, cfg.max_deploy_attempts
+        )
+    })?;
+    Ok(NetSim::new(cfg, mode).run_on(seed, &deployment))
 }
 
 fn cmd_reproduce(args: &[String]) -> Result<(), String> {
@@ -439,18 +451,20 @@ fn get_sim_secs(flags: &HashMap<String, String>, key: &str, default: f64) -> Res
     Ok(secs)
 }
 
-/// Parses a count flag (`--grid`, `--runs`) that must lie in `min..=u32::MAX`.
+/// Parses a count flag (`--runs`, `--updates`, `--grid`) that must lie
+/// in `min..=max`.
 fn get_count(
     flags: &HashMap<String, String>,
     key: &str,
     default: u32,
     min: u32,
+    max: u32,
 ) -> Result<u32, String> {
     let n = get_u64(flags, key, u64::from(default))?;
     u32::try_from(n)
         .ok()
-        .filter(|&n| n >= min)
-        .ok_or_else(|| format!("--{key}: must be an integer from {min} to {}", u32::MAX))
+        .filter(|n| (min..=max).contains(n))
+        .ok_or_else(|| format!("--{key}: must be an integer from {min} to {max}"))
 }
 
 /// Parses a reliability target: a fraction in `(0, 1]`.
@@ -749,18 +763,49 @@ mod tests {
 
     #[test]
     fn grid_sides_must_be_at_least_the_minimum() {
-        // `ideal` needs one node; `boundary` needs an edge to percolate.
-        assert!(get_count(&flag("grid", "0"), "grid", 25, 1).is_err());
-        assert_eq!(get_count(&flag("grid", "1"), "grid", 25, 1), Ok(1));
-        assert!(get_count(&flag("grid", "1"), "grid", 30, 2).is_err());
-        assert!(get_count(&flag("grid", "4294967296"), "grid", 25, 1).is_err());
+        // `ideal` needs one node; `boundary` needs an edge to percolate;
+        // both cap the side so that side² fits a NodeId.
+        let max = Grid::MAX_SIDE;
+        assert_eq!(get_count(&flag("grid", "1"), "grid", 25, 1, max), Ok(1));
+        assert_eq!(
+            get_count(&flag("grid", "65535"), "grid", 25, 1, max),
+            Ok(65535)
+        );
+        assert_eq!(get_count(&HashMap::new(), "grid", 30, 2, max), Ok(30));
+        assert!(get_count(&flag("grid", "1"), "grid", 30, 2, max).is_err());
+        for bad in ["0", "65536", "100000", "4294967296"] {
+            let err = get_count(&flag("grid", bad), "grid", 25, 1, max).unwrap_err();
+            assert_eq!(err, "--grid: must be an integer from 1 to 65535", "{bad}");
+        }
+        // `ideal --updates` is a count too: refused, never truncated.
+        for bad in ["0", "4294967297"] {
+            assert!(get_count(&flag("updates", bad), "updates", 5, 1, u32::MAX).is_err());
+        }
+    }
+
+    #[test]
+    fn net_reports_a_failed_deployment_draw() {
+        let mut cfg = NetConfig::table2();
+        cfg.delta = 0.5;
+        cfg.max_deploy_attempts = 3;
+        let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, 0.5).unwrap());
+        let err = run_net(cfg, mode, 2005).unwrap_err();
+        assert!(err.contains("no connected deployment"), "{err}");
+
+        let mut cfg = NetConfig::table2();
+        cfg.duration_secs = 30.0;
+        let stats = run_net(cfg, mode, 7).unwrap();
+        assert_eq!(stats, NetSim::new(cfg, mode).run(7));
     }
 
     #[test]
     fn boundary_runs_must_be_positive() {
-        let err = get_count(&flag("runs", "0"), "runs", 150, 1).unwrap_err();
+        let err = get_count(&flag("runs", "0"), "runs", 150, 1, u32::MAX).unwrap_err();
         assert!(err.contains("--runs"), "{err}");
-        assert_eq!(get_count(&HashMap::new(), "runs", 150, 1), Ok(150));
+        assert_eq!(
+            get_count(&HashMap::new(), "runs", 150, 1, u32::MAX),
+            Ok(150)
+        );
     }
 
     #[test]

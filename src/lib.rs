@@ -64,8 +64,8 @@ pub mod prelude {
     pub use pbbf_core::analysis;
     pub use pbbf_core::operating_point::{Frontier, OperatingPoint};
     pub use pbbf_core::{
-        AnalysisParams, DuplicateFilter, ForwardDecision, ParamError, PbbfEngine, PbbfParams,
-        PowerProfile, SleepSchedule,
+        AnalysisParams, ForwardDecision, ParamError, PbbfEngine, PbbfParams, PowerProfile,
+        SleepSchedule,
     };
     pub use pbbf_des::{EventQueue, SimDuration, SimRng, SimTime};
     pub use pbbf_experiments::{Effort, Experiment, Output};

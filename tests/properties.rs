@@ -121,30 +121,6 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Cancellation removes exactly the cancelled events.
-    #[test]
-    fn event_queue_cancellation(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
-    ) {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..n)
-            .map(|i| q.schedule(SimTime::from_nanos(i as u64 % 7), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, h) in handles.iter().enumerate() {
-            if cancel_mask[i] {
-                prop_assert!(q.cancel(*h));
-            } else {
-                expected.push(i);
-            }
-        }
-        let mut got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
     /// The RNG's Bernoulli edge cases are exact and substreams reproduce.
     #[test]
     fn rng_substreams_reproducible(seed in any::<u64>(), stream in 0u64..1000) {
@@ -335,16 +311,6 @@ proptest! {
         prop_assert_eq!(sim.run(seed), sim.run_brute(seed));
     }
 
-    /// The duplicate filter never reports an id fresh twice (unbounded).
-    #[test]
-    fn duplicate_filter_no_double_fresh(ids in prop::collection::vec(0u64..50, 1..300)) {
-        let mut f = DuplicateFilter::unbounded();
-        let mut seen = std::collections::HashSet::new();
-        for id in ids {
-            prop_assert_eq!(f.first_sighting(id), seen.insert(id));
-        }
-    }
-
     /// A full idealized dissemination never records more hops than links
     /// and never records latency for undelivered nodes; delivered fraction
     /// is within [1/N, 1].
@@ -452,7 +418,7 @@ proptest! {
         let sim = NetSim::new(cfg, NetMode::SleepScheduled(PbbfParams::new(p, q).unwrap()));
         let baseline = sim.run(seed);
         prop_assert_eq!(&baseline, &sim.run_brute(seed));
-        let drawn = NetSim::draw_deployment(&cfg, seed);
+        let drawn = NetSim::draw_deployment(&cfg, seed).unwrap();
         prop_assert_eq!(&baseline, &sim.run_on(seed, &drawn));
     }
 }
