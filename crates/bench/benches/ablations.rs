@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for design choices of the simulators:
 //!
 //! * `ablation_chaining` — immediate forwards chaining multiple hops per
 //!   frame vs at most one immediate hop per frame.
@@ -6,16 +6,11 @@
 //!   always announcing.
 //! * `ablation_duplicates` — redundant-reception load vs density Δ, the
 //!   cost the duplicate filter avoids re-forwarding.
-//! * `ablation_nz_convolution` — microcanonical crossing vs binomial
-//!   convolution threshold estimates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pbbf_core::PbbfParams;
-use pbbf_des::SimRng;
 use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode};
 use pbbf_net_sim::{NetConfig, NetMode, NetSim};
-use pbbf_percolation::NewmanZiff;
-use pbbf_topology::Grid;
 
 fn ideal_sim(side: u32, p: f64, q: f64) -> IdealSim {
     let mut cfg = IdealConfig::table1();
@@ -91,31 +86,9 @@ fn ablation_duplicates(c: &mut Criterion) {
     c.bench_function("ablation_duplicates_flood", |b| b.iter(|| sim.run(3)));
 }
 
-fn ablation_nz_convolution(c: &mut Criterion) {
-    let grid = Grid::square(20);
-    let nz = NewmanZiff::new(grid.topology(), grid.center());
-    let stats = nz.average_bond_sweeps(40, &mut SimRng::new(4));
-    let micro = stats.crossing_fraction(0.9).unwrap_or(f64::NAN);
-    let canon = stats.canonical_threshold(0.9, 200);
-    println!(
-        "\n===== ablation: Newman-Ziff estimators (20x20, 90% coverage) =====\n\
-         microcanonical crossing fraction {micro:.3}\n\
-         canonical (convolved) threshold  {canon:.3}"
-    );
-    c.bench_function("ablation_nz_microcanonical", |b| {
-        b.iter(|| {
-            let mut rng = SimRng::new(5);
-            nz.bond_crossing(0.9, &mut rng)
-        })
-    });
-    c.bench_function("ablation_nz_convolution", |b| {
-        b.iter(|| stats.canonical_threshold(0.9, 200))
-    });
-}
-
 criterion_group! {
     name = ablations;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = ablation_chaining, ablation_source_announce, ablation_duplicates, ablation_nz_convolution
+    targets = ablation_chaining, ablation_source_announce, ablation_duplicates
 }
 criterion_main!(ablations);

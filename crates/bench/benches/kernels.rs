@@ -49,7 +49,7 @@ fn union_find_sweep(c: &mut Criterion) {
             for (a, bb) in &edges {
                 uf.union(a.index(), bb.index());
             }
-            uf.largest()
+            uf.size_of(0)
         })
     });
 }
@@ -59,7 +59,7 @@ fn newman_ziff_sweep(c: &mut Criterion) {
     let nz = NewmanZiff::new(grid.topology(), grid.center());
     c.bench_function("newman_ziff_40x40_bond_sweep", |b| {
         let mut rng = SimRng::new(2);
-        b.iter(|| nz.bond_sweep(&mut rng))
+        b.iter(|| nz.bond_crossing(1.0, &mut rng))
     });
 }
 

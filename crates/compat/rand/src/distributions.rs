@@ -1,6 +1,5 @@
 //! The distribution surface of the `rand`/`rand_distr` split that this
-//! workspace uses: the [`Distribution`] trait, [`Geometric`], and
-//! [`Exponential`].
+//! workspace uses: the [`Distribution`] trait and [`Geometric`].
 //!
 //! A geometric variate is the batched form of a run of identical
 //! Bernoulli coins — `Geometric(p)` is the number of failures before the
@@ -8,10 +7,7 @@
 //! `chance(p)` per time step can draw the index of the next success
 //! directly and skip the run in O(1). That is exactly how the net
 //! simulator's boundary engine settles idle nodes (see
-//! `pbbf_core::PbbfEngine::sleep_run`). [`Exponential`] is the
-//! continuous-time analogue: the inter-arrival gap of a Poisson(λ)
-//! process, drawn in closed form so a rare-event simulator can jump
-//! straight to the next arrival instead of ticking through the quiet.
+//! `pbbf_core::PbbfEngine::sleep_run`).
 
 use crate::RngCore;
 
@@ -155,95 +151,9 @@ impl Distribution<u64> for Geometric {
     }
 }
 
-/// The error returned by [`Exponential::new`] for a rate outside
-/// `(0, ∞)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidRate;
-
-impl std::fmt::Display for InvalidRate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("exponential rate must be a finite positive value")
-    }
-}
-
-impl std::error::Error for InvalidRate {}
-
-/// The exponential distribution on `[0, ∞)` with rate `λ`: the waiting
-/// time until the next event of a Poisson(`λ`) process,
-/// `P(X > t) = e^(−λt)`, mean `1/λ`.
-///
-/// Every sample consumes exactly one `next_u64` from the generator —
-/// inversion of the survival function, `−ln(1 − u) / λ` — so an
-/// event-driven simulator can draw the gap to the next arrival with the
-/// same entropy discipline as [`Geometric`]: one draw per jump, however
-/// long the jump.
-///
-/// Numerical edges mirror the geometric sampler's underflow guard:
-///
-/// * `ln(1 − u)` is computed as `ln_1p(−u)`, which keeps full precision
-///   for the small-`u` draws where `1.0 - u` would round back to `1.0`
-///   (a plain `(1.0 - u).ln()` collapses every `u < 2⁻⁵³`-ish draw to
-///   an exact zero gap);
-/// * for subnormal-scale rates (`λ` down to `f64::MIN_POSITIVE`) the
-///   quotient can exceed `f64::MAX`; samples saturate there instead of
-///   returning `∞`, so downstream arithmetic stays finite.
-///
-/// # Examples
-///
-/// ```
-/// use pbbf_rand::distributions::{Distribution, Exponential};
-///
-/// let e = Exponential::new(0.000125).unwrap();
-/// # struct Zero;
-/// # impl pbbf_rand::RngCore for Zero {
-/// #     fn next_u32(&mut self) -> u32 { 0 }
-/// #     fn next_u64(&mut self) -> u64 { 0 }
-/// #     fn fill_bytes(&mut self, dest: &mut [u8]) { dest.fill(0) }
-/// # }
-/// // u = 0 is the zero-waiting-time corner.
-/// assert_eq!(e.sample(&mut Zero), 0.0);
-/// assert!(Exponential::new(0.0).is_err());
-/// assert!(Exponential::new(f64::INFINITY).is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates the distribution for rate `λ ∈ (0, ∞)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidRate`] when `λ` is not a finite positive value
-    /// (a zero rate has no next arrival to sample).
-    pub fn new(lambda: f64) -> Result<Self, InvalidRate> {
-        if !(lambda > 0.0 && lambda < f64::INFINITY) {
-            return Err(InvalidRate);
-        }
-        Ok(Self { lambda })
-    }
-
-    /// The rate `λ`.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-}
-
-impl Distribution<f64> for Exponential {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = unit_f64_from_bits(rng.next_u64());
-        // ln_1p keeps precision for tiny u; min saturates the
-        // subnormal-λ overflow to f64::MAX instead of ∞.
-        (-(-u).ln_1p() / self.lambda).min(f64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// Test-local splitmix64 (the compat crates cannot depend on
     /// `pbbf-des` without a cycle).
@@ -408,158 +318,6 @@ mod tests {
                     "p = {p}, k = {k}: freq {freq} vs pmf {expect}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn exponential_rejects_bad_rates() {
-        for lambda in [0.0, -1.0, f64::NAN, f64::INFINITY, -f64::MIN_POSITIVE] {
-            assert_eq!(Exponential::new(lambda).unwrap_err(), InvalidRate);
-        }
-        for lambda in [f64::MIN_POSITIVE, 1e-300, 1e-12, 0.000125, 1.0, 1e12] {
-            assert!(Exponential::new(lambda).is_ok(), "lambda = {lambda}");
-        }
-    }
-
-    #[test]
-    fn exponential_pinned_draws() {
-        // Golden draws (compared by bit pattern): any change to the
-        // bit→f64 mapping or the inversion formula shows up here. The
-        // rate is the long-horizon bench kernel's λ = 0.000125.
-        let e = Exponential::new(0.000125).unwrap();
-        let mut rng = Splitmix(42);
-        let bits: Vec<u64> = (0..4).map(|_| e.sample(&mut rng).to_bits()).collect();
-        let expected = [
-            EXPONENTIAL_PIN_0,
-            EXPONENTIAL_PIN_1,
-            EXPONENTIAL_PIN_2,
-            EXPONENTIAL_PIN_3,
-        ];
-        assert_eq!(bits, expected, "draws: {:?}", bits);
-    }
-
-    // Captured once from the implementation above (printed via
-    // `exponential_pinned_draws` with stale pins); pinned forever.
-    const EXPONENTIAL_PIN_0: u64 = 4667176657674208293; // ≈ 10824.9 s
-    const EXPONENTIAL_PIN_1: u64 = 4653845576796731564; // ≈ 1394.0 s
-    const EXPONENTIAL_PIN_2: u64 = 4657963373484227527; // ≈ 2612.5 s
-    const EXPONENTIAL_PIN_3: u64 = 4659640299034435808; // ≈ 3375.1 s
-
-    #[test]
-    fn exponential_one_draw_per_sample() {
-        for lambda in [1e-9, 0.000125, 1.0, 1e6] {
-            let e = Exponential::new(lambda).unwrap();
-            let mut a = Splitmix(9);
-            let mut b = Splitmix(9);
-            for _ in 0..100 {
-                let _ = e.sample(&mut a);
-                let _ = b.next_u64();
-            }
-            assert_eq!(a.next_u64(), b.next_u64(), "lambda = {lambda}");
-        }
-    }
-
-    #[test]
-    fn exponential_extreme_rates_stay_finite() {
-        // λ down to f64::MIN_POSITIVE: gaps are astronomically long but
-        // must remain finite (saturating at f64::MAX), positive, and
-        // 1/λ-scaled — the ln_1p path must not collapse them to zero.
-        for lambda in [1e-12, 1e-100, 1e-300, f64::MIN_POSITIVE] {
-            let e = Exponential::new(lambda).unwrap();
-            let mut rng = Splitmix(17);
-            for _ in 0..64 {
-                let x = e.sample(&mut rng);
-                assert!(x.is_finite(), "lambda = {lambda}: sample {x}");
-                assert!(
-                    x > 1e-7 / lambda || x == f64::MAX,
-                    "lambda = {lambda}: sample {x} is not exponential-of-tiny-rate sized"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn exponential_tiny_u_keeps_ln_1p_precision() {
-        // A raw u64 below 2^11 maps to u = 0 exactly (zero gap is
-        // correct); the smallest nonzero u must produce a gap near
-        // u/λ — a plain (1.0 - u).ln() would round it to zero.
-        struct Fixed(u64);
-        impl RngCore for Fixed {
-            fn next_u32(&mut self) -> u32 {
-                (self.0 >> 32) as u32
-            }
-            fn next_u64(&mut self) -> u64 {
-                self.0
-            }
-            fn fill_bytes(&mut self, dest: &mut [u8]) {
-                dest.fill(0);
-            }
-        }
-        let e = Exponential::new(1.0).unwrap();
-        assert_eq!(e.sample(&mut Fixed(0)), 0.0);
-        let tiny = e.sample(&mut Fixed(1u64 << 11)); // u = 2^-53
-        let u = 1.0 / (1u64 << 53) as f64;
-        assert!(
-            tiny > 0.0 && (tiny / u - 1.0).abs() < 1e-9,
-            "gap {tiny} should be ~u = {u} for tiny u"
-        );
-    }
-
-    #[test]
-    fn exponential_mean_matches_closed_form() {
-        // E[X] = 1/λ; relative tolerance since the scales span 1e-4..1e1.
-        for (lambda, seed) in [(0.000125, 1u64), (0.5, 2), (2.0, 3), (10.0, 4)] {
-            let e = Exponential::new(lambda).unwrap();
-            let mut rng = Splitmix(seed);
-            let n = 200_000;
-            let mean = (0..n).map(|_| e.sample(&mut rng)).sum::<f64>() / f64::from(n);
-            // SD of the sample mean is (1/λ)/√n; allow 4σ.
-            let tol = 4.0 / f64::from(n).sqrt();
-            assert!(
-                (mean * lambda - 1.0).abs() < tol,
-                "lambda = {lambda}: mean {mean} vs {}",
-                1.0 / lambda
-            );
-        }
-    }
-
-    proptest! {
-        /// Distribution-shape check over randomized rates: the empirical
-        /// survival function matches e^(−λt) at the median and the mean
-        /// (t = ln2/λ and t = 1/λ) for any positive rate.
-        #[test]
-        fn exponential_survival_matches_closed_form(
-            log10_lambda in -6.0f64..=6.0,
-            seed in 0u64..1_000_000,
-        ) {
-            let lambda = 10f64.powf(log10_lambda);
-            let e = Exponential::new(lambda).unwrap();
-            let mut rng = Splitmix(seed);
-            let n = 4096usize;
-            let (mut above_median, mut above_mean) = (0usize, 0usize);
-            let (median, mean) = (std::f64::consts::LN_2 / lambda, 1.0 / lambda);
-            for _ in 0..n {
-                let x = e.sample(&mut rng);
-                prop_assert!(x.is_finite() && x >= 0.0, "sample {x}");
-                if x > median {
-                    above_median += 1;
-                }
-                if x > mean {
-                    above_mean += 1;
-                }
-            }
-            // 4σ binomial tolerance at n = 4096 is ~0.031.
-            let tol = 4.0 * 0.5 / (n as f64).sqrt();
-            let f_median = above_median as f64 / n as f64;
-            let f_mean = above_mean as f64 / n as f64;
-            prop_assert!(
-                (f_median - 0.5).abs() < tol,
-                "λ = {lambda}: P(X > median) = {f_median}"
-            );
-            prop_assert!(
-                (f_mean - std::f64::consts::E.recip()).abs() < tol,
-                "λ = {lambda}: P(X > 1/λ) = {f_mean}"
-            );
         }
     }
 

@@ -8,8 +8,8 @@
 //! workflow: estimate the reliability boundary by percolation, walk it,
 //! and pick the point that fits an energy budget or a latency deadline.
 
+use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
-use rand::RngCore;
 
 use crate::analysis;
 use crate::{AnalysisParams, PbbfParams};
@@ -41,7 +41,6 @@ pub struct OperatingPoint {
 /// use pbbf_topology::Grid;
 ///
 /// let grid = Grid::square(20);
-/// let mut rng = SimRng::new(1);
 /// let frontier = Frontier::explore(
 ///     grid.topology(),
 ///     grid.center(),
@@ -50,7 +49,7 @@ pub struct OperatingPoint {
 ///     &[0.25, 0.5, 0.75, 1.0],
 ///     30,
 ///     0.02,
-///     &mut rng,
+///     &SimRng::new(1),
 /// );
 /// // Spending more energy buys lower latency along the frontier.
 /// let fast = frontier.fastest_within_energy(1.0).unwrap();
@@ -69,9 +68,10 @@ pub struct Frontier {
 
 impl Frontier {
     /// Estimates the reliability boundary on `topology` (Newman–Ziff with
-    /// `runs` sweeps) and evaluates an operating point for each entry of
-    /// `p_values`, adding `safety_margin` to each minimal `q` (clamped to
-    /// 1) so deployments sit strictly inside the reliable region.
+    /// `runs` sweeps on substreams of `base`) and evaluates an operating
+    /// point for each entry of `p_values`, adding `safety_margin` to each
+    /// minimal `q` (clamped to 1) so deployments sit strictly inside the
+    /// reliable region.
     ///
     /// # Panics
     ///
@@ -87,7 +87,7 @@ impl Frontier {
         p_values: &[f64],
         runs: u32,
         safety_margin: f64,
-        rng: &mut impl RngCore,
+        base: &SimRng,
     ) -> Self {
         assert!(
             (0.0..=0.5).contains(&safety_margin),
@@ -99,7 +99,7 @@ impl Frontier {
             target_reliability,
             p_values,
             runs,
-            rng,
+            base,
         );
         let points = boundary
             .into_iter()
@@ -146,12 +146,10 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbbf_des::SimRng;
     use pbbf_topology::Grid;
 
     fn frontier(margin: f64) -> Frontier {
         let grid = Grid::square(20);
-        let mut rng = SimRng::new(77);
         Frontier::explore(
             grid.topology(),
             grid.center(),
@@ -160,7 +158,7 @@ mod tests {
             &[0.05, 0.25, 0.5, 0.75, 1.0],
             30,
             margin,
-            &mut rng,
+            &SimRng::new(77),
         )
     }
 

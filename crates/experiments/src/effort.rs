@@ -74,15 +74,15 @@ impl Effort {
     }
 
     /// Checks the fields a figure sweep reads: at least two q points,
-    /// at least one run, an ideal grid side in `1..=`[`Grid::MAX_SIDE`],
+    /// at least one run, an ideal grid side in `1..=`[`Grid::MAX_SIDE`]
+    /// whose runs fit the ideal simulator's memory bound
+    /// ([`IdealConfig::check_memory`](pbbf_ideal_sim::IdealConfig::check_memory)),
     /// and a positive, finite net-sim horizon of at most half of
     /// [`SimTime`]'s range (which leaves room for the events a run
     /// schedules past its horizon).
     /// A shard worker checks a wire job's effort with this before
-    /// simulating, so a malformed job is refused instead of panicking.
-    /// The grid cap only keeps side² within a `NodeId`; it is not a
-    /// memory bound, and a side in the tens of thousands still fails
-    /// to allocate.
+    /// simulating, so a malformed job is refused instead of panicking
+    /// or aborting on allocation.
     ///
     /// # Errors
     ///
@@ -104,6 +104,7 @@ impl Effort {
                 self.ideal_grid_side
             ));
         }
+        crate::sweep::ideal_config(self).check_memory()?;
         let secs = self.net_duration_secs;
         let max = SimTime::MAX.as_secs() / 2.0;
         if !(secs > 0.0 && secs <= max) {

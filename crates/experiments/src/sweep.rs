@@ -582,9 +582,10 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
 /// from `(point seed, run index)`, so executing the same job twice —
 /// or on two different machines — yields identical bits. Malformed
 /// jobs (unknown figure, an effort [`Effort::validate`] rejects,
-/// out-of-range point or run window) are reported as `Err` rather than
-/// panicking so a worker process can refuse them over the wire and
-/// stay alive.
+/// out-of-range point, or a run window that is empty, out of range or
+/// wider than the `RUN_CHUNK` runs a manifest gives a shard) are
+/// reported as `Err` rather than panicking or aborting on allocation,
+/// so a worker process can refuse them over the wire and stay alive.
 pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
     let sweep = sweep(&job.figure).ok_or_else(|| format!("unknown figure {}", job.figure))?;
     job.effort.validate()?;
@@ -592,8 +593,12 @@ pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
     let pt = points
         .get(job.point as usize)
         .ok_or_else(|| format!("point {} out of range ({})", job.point, points.len()))?;
-    if job.run0 >= job.run1 || job.run1 > job.effort.runs {
-        return Err(format!("bad run range {}..{}", job.run0, job.run1));
+    if job.run0 >= job.run1 || job.run1 > job.effort.runs || job.run1 - job.run0 > RUN_CHUNK as u32
+    {
+        return Err(format!(
+            "bad run range {}..{}: want a nonempty window of at most {RUN_CHUNK} of the {} runs",
+            job.run0, job.run1, job.effort.runs
+        ));
     }
     Ok(sweep.run_chunk(&job.effort, pt, job.run0 as usize..job.run1 as usize))
 }
@@ -729,6 +734,13 @@ mod tests {
         assert!(run_sweep_shard(&job).is_err());
         job.run1 = job.run0;
         assert!(run_sweep_shard(&job).is_err());
+        // A window wider than RUN_CHUNK would size its result vector
+        // from the wire: 0..u32::MAX asks for 64 GiB.
+        let mut job = sweep_manifest("fig04", &e, 1).unwrap().shards[0].clone();
+        (job.run0, job.run1, job.effort.runs) = (0, u32::MAX, u32::MAX);
+        assert!(run_sweep_shard(&job).is_err());
+        job.run1 = RUN_CHUNK as u32 + 1;
+        assert!(run_sweep_shard(&job).is_err());
 
         // Efforts that would panic a simulator are refused up front.
         let mut job = sweep_manifest("fig04", &e, 1).unwrap().shards[0].clone();
@@ -736,6 +748,16 @@ mod tests {
         assert!(run_sweep_shard(&job).is_err());
         // A side whose square overflows a NodeId.
         job.effort.ideal_grid_side = 70_000;
+        assert!(run_sweep_shard(&job).is_err());
+        // Sizes whose runs would not fit the ideal simulator's memory
+        // bound: 256 GiB of per-update receptions, or a grid too big
+        // for even one update.
+        job.effort.ideal_grid_side = 2;
+        job.effort.ideal_updates = u32::MAX;
+        let err = run_sweep_shard(&job).unwrap_err();
+        assert!(err.contains("2 GiB"), "{err}");
+        job.effort.ideal_grid_side = pbbf_topology::Grid::MAX_SIDE;
+        job.effort.ideal_updates = 1;
         assert!(run_sweep_shard(&job).is_err());
         for duration in [f64::NAN, f64::INFINITY, -5.0, 0.0, 1e12] {
             let mut job = sweep_manifest("fig13", &e, 1).unwrap().shards[0].clone();

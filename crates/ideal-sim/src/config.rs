@@ -73,6 +73,29 @@ impl IdealConfig {
     pub fn node_count(&self) -> u32 {
         self.grid_side * self.grid_side
     }
+
+    /// Refuses a size whose run would need more than 2 GiB, so it fails
+    /// with an error instead of aborting on allocation. A run needs about
+    /// `16 B × side² × (updates + 5)`: the [`RunStats`](crate::RunStats)
+    /// keep 16 B per node per update, and the per-node scratch is worth
+    /// about five more updates (~96 MB peak RSS for one update on a
+    /// 1024×1024 grid).
+    ///
+    /// # Errors
+    ///
+    /// Names the estimate and the bound.
+    pub fn check_memory(&self) -> Result<(), String> {
+        const MAX_BYTES: u128 = 2 << 30;
+        let bytes = 16 * u128::from(self.grid_side).pow(2) * (u128::from(self.updates) + 5);
+        if bytes > MAX_BYTES {
+            let (side, updates) = (self.grid_side, self.updates);
+            return Err(format!(
+                "a {side}x{side} ideal-sim grid with {updates} updates needs about \
+                 {bytes} bytes, above the {MAX_BYTES} byte (2 GiB) bound"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for IdealConfig {
@@ -92,6 +115,7 @@ mod tests {
         assert_eq!(c.node_count(), 5625);
         assert_eq!(c.updates, 5);
         assert!((c.t_packet - 0.026_666).abs() < 1e-4);
+        assert_eq!(c.check_memory(), Ok(()));
     }
 
     #[test]

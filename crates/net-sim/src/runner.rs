@@ -297,19 +297,6 @@ struct Runner<C: CollisionChannel> {
     window_set: ActiveSet,
     /// Scratch for sorted active-set sweeps.
     sweep: Vec<u32>,
-    /// Boundary timestamps in seconds, one entry per fired frame
-    /// (`frame_secs[f]` = start of frame `f`, `window_secs[f]` = its
-    /// window end), appended by the frame-start handler **under the
-    /// dense engine only**. Dense settling replays the same `set_state`
-    /// instants for thousands of nodes; converting each boundary to
-    /// seconds once — instead of dividing nanoseconds per node per
-    /// boundary — keeps the replay loop in integer/flag work. The
-    /// lazy engine touches only O(1) boundaries per settle, so it
-    /// leaves these empty and converts on demand — bit-identical values
-    /// (boundaries are exact integer-nanosecond multiples, converted
-    /// with the same division).
-    frame_secs: Vec<f64>,
-    window_secs: Vec<f64>,
     gen_times: Vec<SimTime>,
     receptions: Vec<Vec<Option<SimTime>>>,
     /// Reused per-`end_tx` delivery buffer: the channel writes into it so
@@ -384,8 +371,6 @@ impl<C: CollisionChannel> Runner<C> {
             frame_set: ActiveSet::new(nodes.len()),
             window_set: ActiveSet::new(nodes.len()),
             sweep: Vec::new(),
-            frame_secs: Vec::new(),
-            window_secs: Vec::new(),
             nodes,
             gen_times: Vec::with_capacity(expected_updates),
             receptions: Vec::with_capacity(expected_updates),
@@ -450,10 +435,9 @@ impl<C: CollisionChannel> Runner<C> {
     /// pending, an O(1) check — every whole frame before the next
     /// generated update is pure bookkeeping: its frame-start and
     /// window-end handlers would sweep empty sets, touch no node, and
-    /// draw no randomness. This
-    /// settles that bookkeeping wholesale (the boundary-seconds tables
-    /// and the global `fired` cursor) and reschedules the frame start at
-    /// the first frame that can carry traffic, leaving per-node settling
+    /// draw no randomness. This settles that bookkeeping wholesale (the
+    /// global `fired` cursor) and reschedules the frame start at the
+    /// first frame that can carry traffic, leaving per-node settling
     /// exactly as lazy as the frame-by-frame walk leaves it.
     ///
     /// Returns whether the jump was taken (the caller's frame-start work
@@ -476,11 +460,9 @@ impl<C: CollisionChannel> Runner<C> {
         if target <= f {
             return false;
         }
-        // O(1): no per-skipped-frame work at all. The boundary-seconds
-        // tables are a dense-engine cache (see their field docs), so the
-        // jump is just the cursor advance and the rescheduled frame
-        // start — later settles convert the skipped boundaries to
-        // seconds on demand, bit-identically.
+        // O(1): no per-skipped-frame work at all. The jump is just the
+        // cursor advance and the rescheduled frame start — later settles
+        // convert the skipped boundaries to seconds on demand.
         self.fired = 2 * target;
         self.queue
             .schedule(self.timing.frame_time(u64::from(target)), Ev::FrameStart);
@@ -540,8 +522,7 @@ impl<C: CollisionChannel> Runner<C> {
     /// This is the hot loop of sparse scenarios — a node asleep for a
     /// hundred beacon intervals pays for all of them here, in one pass
     /// over cursor-indexed locals — so it works on a single borrow of
-    /// the node and the precomputed boundary-seconds tables rather than
-    /// going through the eager per-boundary helpers.
+    /// the node rather than going through the eager per-boundary helpers.
     #[inline]
     fn settle(&mut self, i: usize) {
         if self.nodes[i].applied < self.fired {
@@ -576,12 +557,6 @@ impl<C: CollisionChannel> Runner<C> {
     fn settle_dense(&mut self, i: usize, target: u32) {
         let beacon_nanos = self.timing.beacon_interval().as_nanos();
         let atim_nanos = self.timing.atim_window().as_nanos();
-        // The tables are filled only under the dense engine; the lazy
-        // engine replays at most one boundary per edge here, so the
-        // on-demand conversion (bit-identical: exact integer-nanosecond
-        // boundaries through the same division) costs nothing that
-        // matters.
-        let dense = self.dense_boundaries;
         let node = &mut self.nodes[i];
         while node.applied < target {
             let boundary = node.applied;
@@ -590,14 +565,10 @@ impl<C: CollisionChannel> Runner<C> {
             if boundary & 1 == 0 {
                 // Frame start: wake for the ATIM window.
                 if !node.awake {
-                    let secs = if dense {
-                        self.frame_secs[frame as usize]
-                    } else {
-                        SimTime::from_nanos(u64::from(frame) * beacon_nanos).as_secs()
-                    };
-                    node.meter.set_state_secs(secs, RadioState::Idle);
+                    let t = SimTime::from_nanos(u64::from(frame) * beacon_nanos);
+                    node.meter.set_state_secs(t.as_secs(), RadioState::Idle);
                     node.awake = true;
-                    node.awake_since = SimTime::from_nanos(u64::from(frame) * beacon_nanos);
+                    node.awake_since = t;
                 }
                 let wants = node.mac.begin_frame();
                 debug_assert!(
@@ -608,11 +579,8 @@ impl<C: CollisionChannel> Runner<C> {
             } else {
                 // Window end: the Figure-3 sleep decision.
                 if !node.mac.sleep_decision() && node.awake {
-                    let secs = if dense {
-                        self.window_secs[frame as usize]
-                    } else {
-                        SimTime::from_nanos(u64::from(frame) * beacon_nanos + atim_nanos).as_secs()
-                    };
+                    let secs =
+                        SimTime::from_nanos(u64::from(frame) * beacon_nanos + atim_nanos).as_secs();
                     node.meter.set_state_secs(secs, RadioState::Sleep);
                     node.awake = false;
                 }
@@ -655,10 +623,7 @@ impl<C: CollisionChannel> Runner<C> {
     /// state the node leaves in.
     fn settle_pairs_batched(&mut self, i: usize, pairs: u32) {
         let g0 = self.nodes[i].applied / 2;
-        // Only the lazy engine batches, and it leaves the
-        // boundary-seconds tables empty: convert the two touched
-        // boundaries on demand (bit-identical to the dense engine's
-        // table entries).
+        // Only the two touched boundaries are converted to seconds.
         let g0_secs = self.timing.frame_time(u64::from(g0)).as_secs();
         let node = &mut self.nodes[i];
         debug_assert_eq!(node.applied & 1, 0, "batch must start at a frame start");
@@ -711,16 +676,6 @@ impl<C: CollisionChannel> Runner<C> {
                 return;
             }
             let frame = self.fired / 2;
-            if self.dense_boundaries {
-                // The lazy engine converts on demand instead (see the
-                // `frame_secs` field docs) — its tables stay empty,
-                // which is also what lets `try_skip_frames` jump in
-                // O(1).
-                debug_assert_eq!(self.frame_secs.len(), frame as usize);
-                self.frame_secs.push(now.as_secs());
-                self.window_secs
-                    .push((now + self.timing.atim_window()).as_secs());
-            }
             let mut sweep = std::mem::take(&mut self.sweep);
             self.frame_set.sweep(&mut sweep);
             for &i in &sweep {

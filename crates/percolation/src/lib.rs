@@ -13,12 +13,13 @@
 //! * [`UnionFind`] — weighted union-find with path compression, the data
 //!   structure underlying the Newman–Ziff sweep.
 //! * [`NewmanZiff`] — the microcanonical bond (and site) percolation sweep
-//!   over a [`Topology`](pbbf_topology::Topology), plus the binomial
-//!   convolution that converts sweep statistics to canonical (fixed-`p`)
-//!   reliability curves.
-//! * [`critical_bond_ratio`] — the Figure-6 estimator: the fraction of
-//!   occupied bonds at which the source's cluster first covers a target
-//!   fraction of nodes.
+//!   over a [`Topology`](pbbf_topology::Topology). A bond sweep stops at
+//!   the first bond whose addition lets the source's cluster cover the
+//!   target fraction of nodes.
+//! * [`critical_bond_ratio`] — the Figure-6 estimator: the mean of that
+//!   crossing bond fraction over independent sweeps, fanned out across
+//!   threads on per-sweep substreams so the estimate does not depend on
+//!   the thread count.
 //! * [`boundary`] — the Figure-7 map from a critical edge probability to
 //!   the minimal `q` for each `p` via Remark 1.
 
@@ -30,7 +31,5 @@ mod newman_ziff;
 mod union_find;
 
 pub use boundary::{min_q_for_reliability, pq_boundary, reliability_edge_probability};
-pub use newman_ziff::{
-    critical_bond_ratio, critical_bond_ratio_par, BondSweep, NewmanZiff, SweepStats,
-};
+pub use newman_ziff::{critical_bond_ratio, NewmanZiff};
 pub use union_find::UnionFind;

@@ -15,7 +15,7 @@ use rand::RngCore;
 /// Implements [`rand::RngCore`], so all `rand` distribution adapters work,
 /// and adds the handful of draws the simulators actually use
 /// ([`chance`](SimRng::chance), [`uniform`](SimRng::uniform),
-/// [`below`](SimRng::below), [`exponential`](SimRng::exponential)).
+/// [`below`](SimRng::below)).
 ///
 /// # Examples
 ///
@@ -140,17 +140,6 @@ impl SimRng {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// Exponential draw with the given `rate` (mean `1/rate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate.is_finite() && rate > 0.0, "bad rate {rate}");
-        // ln(1 - U) with U in [0, 1) never takes ln(0).
-        -(1.0 - self.uniform01()).ln() / rate
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -310,15 +299,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(rng.below(8) < 8);
         }
-    }
-
-    #[test]
-    fn exponential_has_correct_mean() {
-        let mut rng = SimRng::new(17);
-        let rate = 0.01; // the paper's update rate
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(rate)).sum::<f64>() / n as f64;
-        assert!((mean - 100.0).abs() < 2.0, "mean = {mean}");
     }
 
     #[test]

@@ -14,7 +14,6 @@ fn main() {
 
     let grid = Grid::square(30);
     let params = AnalysisParams::table1();
-    let mut rng = SimRng::new(11);
     let p_values: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
 
     let frontier = Frontier::explore(
@@ -25,7 +24,7 @@ fn main() {
         &p_values,
         150,
         0.02, // safety margin on q
-        &mut rng,
+        &SimRng::new(11),
     );
 
     println!(

@@ -211,10 +211,15 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
     let runs = get_count(&flags, "runs", 150, 1, u32::MAX)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
-    let mut rng = SimRng::new(seed);
     let ps: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
-    let (critical, boundary) =
-        pq_boundary(g.topology(), g.center(), reliability, &ps, runs, &mut rng);
+    let (critical, boundary) = pq_boundary(
+        g.topology(),
+        g.center(),
+        reliability,
+        &ps,
+        runs,
+        &SimRng::new(seed),
+    );
     println!(
         "{grid}x{grid} grid, {:.0}% reliability: critical p_edge = {critical:.4}\n",
         reliability * 100.0
@@ -241,6 +246,7 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
     let mut cfg = IdealConfig::table1();
     cfg.grid_side = grid;
     cfg.updates = updates;
+    cfg.check_memory()?;
     let stats = IdealSim::new(cfg, IdealMode::SleepScheduled(params)).run(seed);
     let mut t = Table::new(["Metric", "Value"]);
     t.row([
@@ -780,6 +786,14 @@ mod tests {
         // `ideal --updates` is a count too: refused, never truncated.
         for bad in ["0", "4294967297"] {
             assert!(get_count(&flag("updates", bad), "updates", 5, 1, u32::MAX).is_err());
+        }
+        // `ideal` sizes past the simulator's memory bound are refused
+        // before anything is allocated.
+        for (grid, updates) in [("2", "4294967295"), ("65535", "1")] {
+            let args = format!("--grid {grid} --p 0.5 --q 0.5 --updates {updates}");
+            let args: Vec<String> = args.split(' ').map(String::from).collect();
+            let err = cmd_ideal(&args).unwrap_err();
+            assert!(err.contains("2 GiB"), "{err}");
         }
     }
 

@@ -17,8 +17,7 @@ fn small_ideal(side: u32, updates: u32) -> IdealConfig {
 fn percolation_boundary_predicts_simulated_reliability() {
     let side = 25;
     let grid = Grid::square(side);
-    let mut rng = SimRng::new(1);
-    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 60, &mut rng);
+    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 60, &SimRng::new(1));
 
     let p = 0.75;
     let q_min = min_q_for_reliability(p, critical).expect("solvable");
@@ -154,7 +153,6 @@ fn ideal_and_realistic_simulators_agree_qualitatively() {
 fn frontier_consistent_with_components() {
     let grid = Grid::square(20);
     let params = AnalysisParams::table1();
-    let mut rng = SimRng::new(9);
     let frontier = Frontier::explore(
         grid.topology(),
         grid.center(),
@@ -163,7 +161,7 @@ fn frontier_consistent_with_components() {
         &[0.25, 0.5, 0.75, 1.0],
         40,
         0.0,
-        &mut rng,
+        &SimRng::new(9),
     );
     for pt in &frontier.points {
         let expected_lat =
