@@ -9,16 +9,12 @@
 //! shard's *first* delivery only — the retry then succeeds — unless the
 //! shard number carries a `+` suffix (`crash:0+`), which makes the
 //! fault fire on every attempt and drives the supervisor down its
-//! attempt-exhaustion → in-process fallback path. The shard position
-//! also accepts `*` (`hang:*`): the fault fires on whatever shard the
-//! worker happens to receive first — the shape cross-host CI needs,
-//! where shard→host assignment is a scheduling detail.
+//! attempt-exhaustion → in-process fallback path.
 //!
-//! Only the workers consult the plan — the pipe loop
-//! ([`worker_loop_with`](crate::worker::worker_loop_with)) and the socket
-//! server ([`serve_listener`](crate::tcp::serve_listener)) alike; the
-//! supervisor never does, so a sweep's *recovery* is what gets
-//! tested, not a short-circuit. Determinism note: faults keyed on shard
+//! Only the worker loop
+//! ([`worker_loop_with`](crate::worker::worker_loop_with)) consults the
+//! plan; the supervisor never does, so a sweep's *recovery* is what
+//! gets tested, not a short-circuit. Determinism note: faults keyed on shard
 //! id and attempt are reproducible by construction — no dice rolls.
 
 /// What a planned fault does to the shard's execution.
@@ -32,28 +28,11 @@ pub enum FaultKind {
     Corrupt,
 }
 
-/// Which shards a fault entry applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardSel {
-    /// One specific manifest position.
-    Id(u32),
-    /// Any shard (`*`) — whatever this worker is handed.
-    Any,
-}
-
-impl ShardSel {
-    fn matches(self, shard: u32) -> bool {
-        match self {
-            ShardSel::Id(id) => id == shard,
-            ShardSel::Any => true,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Fault {
     kind: FaultKind,
-    shard: ShardSel,
+    /// The shard's wire id.
+    shard: u32,
     every_attempt: bool,
 }
 
@@ -90,11 +69,7 @@ impl FaultPlan {
                 Some(s) => (s, true),
                 None => (shard, false),
             };
-            let shard = match shard {
-                "*" => Some(ShardSel::Any),
-                s => s.parse().ok().map(ShardSel::Id),
-            };
-            if let Some(shard) = shard {
+            if let Ok(shard) = shard.parse() {
                 faults.push(Fault {
                     kind,
                     shard,
@@ -110,7 +85,7 @@ impl FaultPlan {
     pub fn fault_for(&self, shard: u32, attempt: u32) -> Option<FaultKind> {
         self.faults
             .iter()
-            .find(|f| f.shard.matches(shard) && (f.every_attempt || attempt == 0))
+            .find(|f| f.shard == shard && (f.every_attempt || attempt == 0))
             .map(|f| f.kind)
     }
 
@@ -139,19 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_matches_any_shard() {
-        let plan = FaultPlan::parse("hang:*");
-        assert_eq!(plan.fault_for(0, 0), Some(FaultKind::Hang));
-        assert_eq!(plan.fault_for(999, 0), Some(FaultKind::Hang));
-        assert_eq!(plan.fault_for(999, 1), None, "first delivery only");
-        let persistent = FaultPlan::parse("crash:*+");
-        assert_eq!(persistent.fault_for(3, 7), Some(FaultKind::Crash));
-    }
-
-    #[test]
     fn garbage_is_ignored() {
         assert!(FaultPlan::parse("").is_empty());
-        assert!(FaultPlan::parse("explode:9,crash,corrupt:x,:3").is_empty());
+        assert!(FaultPlan::parse("explode:9,crash,corrupt:x,:3,hang:*").is_empty());
         assert_eq!(
             FaultPlan::parse("nope:1,hang:2").fault_for(2, 0),
             Some(FaultKind::Hang)

@@ -19,17 +19,13 @@
 //! `pbbf-experiments::sweep`) is by position and arrival order,
 //! duplicates, and worker identity cannot leak into the output bytes.
 //! The scheduler owns its fleet for its whole lifetime: a *queue* of
-//! sweeps multiplexes onto one set of workers, keeping remote
+//! sweeps multiplexes onto one set of worker processes, keeping their
 //! deployment caches warm across figures. The binding to actual figure
 //! sweeps (job encoding/execution) lives in `pbbf-experiments::sweep`;
-//! the `pbbf` binary wires the two together.
-//!
-//! The [`tcp`] module carries the same line protocol over sockets so
-//! remote hosts join the fleet (`pbbf worker --listen` / `pbbf sweep
-//! --hosts`), adding heartbeat-based host liveness, bounded-backoff
-//! reconnection, and quarantine of unreachable hosts on top of the
-//! per-shard machinery. The wire format is specified in
-//! `docs/PROTOCOL.md`; `docs/OPERATIONS.md` is the ops guide.
+//! the `pbbf` binary wires the two together. Workers are `pbbf worker`
+//! subprocesses on this host, spoken to over stdin/stdout pipes. The
+//! wire format is specified in `docs/PROTOCOL.md`;
+//! `docs/OPERATIONS.md` is the ops guide.
 //!
 //! [`fault::FaultPlan`] implements the `PBBF_FAULT` injection hooks the
 //! CI fault-injection job drives; only worker processes honor them.
@@ -41,7 +37,6 @@ pub mod fault;
 pub mod protocol;
 pub mod scheduler;
 pub mod supervisor;
-pub mod tcp;
 pub mod worker;
 
 pub use protocol::{CacheTelemetry, ShardResult, ShardSpec, WorkerReply};
@@ -50,5 +45,4 @@ pub use supervisor::{
     ProcessWorkerFactory, ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory,
     WorkerLink,
 };
-pub use tcp::{serve_listener, HybridWorkerFactory, ServeOptions, TcpOptions, TcpWorkerFactory};
 pub use worker::worker_loop_with;

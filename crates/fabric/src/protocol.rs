@@ -86,18 +86,15 @@ pub struct ShardError {
     pub error: String,
 }
 
-/// One output line from a worker (stdout pipe or TCP socket).
+/// One output line from a worker's stdout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerReply {
     /// The shard executed; here are its bits.
     Result(ShardResult),
     /// The worker refused the shard.
     Error(ShardError),
-    /// A liveness beat carrying deployment-cache telemetry. Remote
-    /// (socket) workers emit these on a timer so the supervisor can
-    /// tell a slow shard from a vanished host; every worker emits one
-    /// after each reply so telemetry is at least as fresh as the last
-    /// completed shard.
+    /// Deployment-cache telemetry. A worker emits one after each reply,
+    /// so telemetry is as fresh as the last completed shard.
     Heartbeat(CacheTelemetry),
 }
 

@@ -3,8 +3,8 @@
 //! [`SweepScheduler`] owns a worker fleet for its whole lifetime and
 //! accepts a *queue* of sweep manifests ([`SweepScheduler::run_queue`]).
 //! Shards from every queued sweep drain into workers as they go idle,
-//! so several figures multiplex onto one fleet and remote workers keep
-//! their deployment caches warm across sweeps. Per-shard results
+//! so several figures multiplex onto one fleet and workers keep their
+//! deployment caches warm across sweeps. Per-shard results
 //! stream to a caller-supplied sink in completion order, each exactly
 //! once and tagged with its manifest position; re-merging in manifest
 //! order is the caller's job (`assemble_sweep` upstairs), which is what
@@ -25,12 +25,11 @@
 //!   late reply from a previous queue can never validate against a new
 //!   shard (the checksum covers the id). Stale replies only release
 //!   the worker that sent them.
-//! * **Telemetry accumulates across transport sessions.** Workers
-//!   heartbeat cache counters as deltas from a per-connection baseline
-//!   (see `docs/PROTOCOL.md`), so the scheduler rolls the last-seen
-//!   session total into an accumulator on every [`WorkerEvent::Reset`]
-//!   or [`WorkerEvent::Gone`] and reports `accumulated + current` —
-//!   a reconnect loses no hits/misses.
+//! * **A worker's latest heartbeat is its total.** Workers heartbeat
+//!   cache counters as running totals since their process started (see
+//!   `docs/PROTOCOL.md`), so the scheduler keeps the last one per
+//!   worker, even after the worker dies, and the fleet total is their
+//!   sum.
 //! * **Per-sweep stats settle in queue order.** Each sweep's stats are
 //!   charged as its shards resolve; fleet-wide telemetry deltas are
 //!   attributed to a sweep when it completes, so consecutive sweeps
@@ -58,8 +57,8 @@ use crate::supervisor::{
 ///
 /// Construct once with [`SweepScheduler::new`], then feed it sweep
 /// queues with [`SweepScheduler::run_queue`]. Workers are spawned
-/// exactly once; the fleet only ever shrinks (quarantine, crashes, lost
-/// hosts), and dropping the scheduler kills whatever is left.
+/// exactly once; the fleet only ever shrinks (quarantine, crashes), and
+/// dropping the scheduler kills whatever is left.
 pub struct SweepScheduler {
     opts: SweepOptions,
     workers: Vec<Worker>,
@@ -85,19 +84,12 @@ struct Worker {
     /// Global wire id of the shard in flight on this worker, if any.
     current: Option<u64>,
     healthy: bool,
-    /// Cached [`WorkerLink::remote`]: subject to host liveness.
-    remote: bool,
-    /// When this worker last produced any output line.
-    last_heard: Instant,
-    /// Telemetry totals from transport sessions that have ended
-    /// (rolled over on `Reset`/`Gone`).
-    telemetry_acc: CacheTelemetry,
-    /// Latest heartbeat of the current transport session.
-    telemetry_cur: CacheTelemetry,
+    /// The worker's latest heartbeat: its running total.
+    telemetry: CacheTelemetry,
     /// Set while the worker is busy with a shard that is already
     /// settled (a late duplicate in flight, or leftover work from a
-    /// previous queue). If it neither delivers nor resets by then, it
-    /// is wedged and gets quarantined.
+    /// previous queue). If it does not deliver by then, it is wedged
+    /// and gets quarantined.
     stale_deadline: Option<Instant>,
 }
 
@@ -121,17 +113,13 @@ impl SweepScheduler {
             match factory.spawn(slot, id, tx.clone()) {
                 Ok(link) => {
                     workers_spawned += 1;
-                    let remote = link.remote();
                     workers.push(Worker {
                         id,
                         link,
                         strikes: 0,
                         current: None,
                         healthy: true,
-                        remote,
-                        last_heard: Instant::now(),
-                        telemetry_acc: CacheTelemetry::default(),
-                        telemetry_cur: CacheTelemetry::default(),
+                        telemetry: CacheTelemetry::default(),
                         stale_deadline: None,
                     });
                 }
@@ -166,7 +154,7 @@ impl SweepScheduler {
     /// handed to `sink(sweep, shard, values)` exactly once, where
     /// `shard` is the shard's position *within its sweep's manifest*.
     /// Returns one [`SweepStats`] per queued sweep; fleet-scoped
-    /// events (spawns, reconnects, telemetry) are attributed to the
+    /// events (spawns, telemetry) are attributed to the
     /// sweep that was settling when they were observed.
     ///
     /// `exec` is the in-process fallback executor — the same
@@ -240,7 +228,7 @@ impl SweepScheduler {
 
         // A resident fleet keeps talking between queues (heartbeats,
         // late duplicates, deaths); absorb the backlog before dealing
-        // new work so stale replies release their workers and a host
+        // new work so stale replies release their workers and a worker
         // that died while idle is noticed now, not mid-sweep.
         eng.refresh_idle(now);
         while let Ok(ev) = rx.try_recv() {
@@ -266,7 +254,6 @@ impl SweepScheduler {
                 }
             }
             eng.expire_deadlines(Instant::now())?;
-            eng.expire_liveness(Instant::now())?;
             eng.expire_stale(Instant::now())?;
         }
         eng.check_settle();
@@ -387,18 +374,12 @@ where
         &mut self.stats[sweep]
     }
 
-    /// Resets idle-time book-keeping at queue start: nobody was
-    /// expected to talk while no queue was running, so liveness clocks
-    /// restart now, and any work still in flight from a previous queue
-    /// gets one full deadline to settle before its worker is written
-    /// off as wedged.
+    /// Resets idle-time book-keeping at queue start: any work still in
+    /// flight from a previous queue gets one full deadline to settle
+    /// before its worker is written off as wedged.
     fn refresh_idle(&mut self, now: Instant) {
         for w in self.workers.iter_mut() {
-            if !w.healthy {
-                continue;
-            }
-            w.last_heard = now;
-            if w.current.is_some() {
+            if w.healthy && w.current.is_some() {
                 w.stale_deadline = Some(now + self.opts.shard_timeout);
             }
         }
@@ -408,7 +389,6 @@ where
         match ev {
             WorkerEvent::Line { worker, line } => self.on_line(worker, &line),
             WorkerEvent::Gone { worker } => self.on_gone(worker),
-            WorkerEvent::Reset { worker } => self.on_reset(worker),
         }
     }
 
@@ -597,30 +577,21 @@ where
         }
     }
 
-    /// Fleet-wide cache telemetry: finished sessions plus the live
-    /// one, per worker. Monotone over the scheduler's lifetime.
+    /// Fleet-wide cache telemetry: the sum of every worker's latest
+    /// heartbeat, dead workers included. Monotone over the scheduler's
+    /// lifetime.
     fn fleet_telemetry(&self) -> CacheTelemetry {
         self.workers
             .iter()
             .fold(CacheTelemetry::default(), |acc, w| {
-                add_telemetry(acc, add_telemetry(w.telemetry_acc, w.telemetry_cur))
+                add_telemetry(acc, w.telemetry)
             })
-    }
-
-    /// Rolls the live session's telemetry into the worker's
-    /// accumulator — called when a transport session ends (`Reset` or
-    /// `Gone`), whose next heartbeat (if any) restarts from zero.
-    fn roll_telemetry(&mut self, widx: usize) {
-        let w = &mut self.workers[widx];
-        w.telemetry_acc = add_telemetry(w.telemetry_acc, w.telemetry_cur);
-        w.telemetry_cur = CacheTelemetry::default();
     }
 
     fn on_line(&mut self, worker: u64, line: &str) -> Result<(), String> {
         let Some(widx) = self.workers.iter().position(|w| w.id == worker) else {
             return Ok(()); // unknown sender: drop
         };
-        self.workers[widx].last_heard = Instant::now();
         let reply: WorkerReply = match serde_json::from_str(line) {
             Ok(r) => r,
             Err(e) => {
@@ -691,52 +662,17 @@ where
                 }
             }
             WorkerReply::Heartbeat(t) => {
-                // Pure liveness + telemetry; `last_heard` already moved.
-                // Heartbeats carry session totals (delta from the
-                // connection baseline), so replace, don't add.
-                self.workers[widx].telemetry_cur = t;
+                // Heartbeats carry running totals, so replace, don't add.
+                self.workers[widx].telemetry = t;
                 Ok(())
             }
         }
-    }
-
-    /// The worker's transport dropped and reconnected: whatever it was
-    /// running is lost on the far side, so requeue it — but the worker
-    /// itself stays in the fleet. This is the "yanked cable, plugged
-    /// back in" path; it must degrade no worse than a killed
-    /// subprocess and no scheduling detail of it may reach the output.
-    fn on_reset(&mut self, worker: u64) -> Result<(), String> {
-        let Some(widx) = self.workers.iter().position(|w| w.id == worker) else {
-            return Ok(());
-        };
-        // The old session is gone either way; bank its telemetry
-        // before the new session's heartbeats restart from zero.
-        self.roll_telemetry(widx);
-        if !self.workers[widx].healthy {
-            return Ok(()); // already written off; the link is dying
-        }
-        self.wstats(widx).reconnects += 1;
-        self.workers[widx].last_heard = Instant::now();
-        self.workers[widx].stale_deadline = None;
-        if let Some(wire) = self.workers[widx].current.take() {
-            if let WireRef::Flat(f) = self.resolve(wire) {
-                if matches!(self.shards[f].status, ShardStatus::Running { .. }) {
-                    eprintln!(
-                        "pbbf sweep: worker {worker} transport reset; requeueing shard {wire}"
-                    );
-                    return self.fail_shard(f);
-                }
-            }
-        }
-        Ok(())
     }
 
     fn on_gone(&mut self, worker: u64) -> Result<(), String> {
         let Some(widx) = self.workers.iter().position(|w| w.id == worker) else {
             return Ok(());
         };
-        // Its final session ended; keep what it reported.
-        self.roll_telemetry(widx);
         if !self.workers[widx].healthy {
             return Ok(()); // already written off (we killed it)
         }
@@ -769,8 +705,8 @@ where
             );
             self.sstats(f).timeouts += 1;
             // Quarantine the wedged worker — but only when it is still
-            // on the books; one already written off (crashed, lost
-            // host) must not be counted quarantined a second time.
+            // on the books; one already written off (crashed) must not
+            // be counted quarantined a second time.
             if let Some(widx) = self.workers.iter().position(|w| w.id == wid && w.healthy) {
                 self.sstats(f).quarantined += 1;
                 self.write_off(widx)?;
@@ -780,34 +716,6 @@ where
                 // directly so the scan above always makes progress.
                 self.fail_shard(f)?;
             }
-        }
-    }
-
-    /// Writes off remote workers that have been silent past the
-    /// liveness window — the vanished-host detector. Remote workers
-    /// heartbeat on a timer even mid-shard, so silence here means the
-    /// host (or the network to it) is gone, not that a shard is slow;
-    /// per-shard deadlines separately cover the slow/wedged case.
-    fn expire_liveness(&mut self, now: Instant) -> Result<(), String> {
-        loop {
-            let Some(widx) = self.workers.iter().position(|w| {
-                w.healthy
-                    && w.remote
-                    && now.duration_since(w.last_heard) > self.opts.liveness_timeout
-            }) else {
-                return Ok(());
-            };
-            eprintln!(
-                "pbbf sweep: worker {} silent for {:.1?} (liveness {:.1?}); \
-                 quarantining unreachable host",
-                self.workers[widx].id,
-                now.duration_since(self.workers[widx].last_heard),
-                self.opts.liveness_timeout
-            );
-            let st = self.wstats(widx);
-            st.hosts_lost += 1;
-            st.quarantined += 1;
-            self.write_off(widx)?;
         }
     }
 
@@ -874,13 +782,7 @@ where
                 _ => {}
             }
         }
-        for w in self.workers.iter() {
-            if !w.healthy {
-                continue;
-            }
-            if w.remote {
-                consider(w.last_heard + self.opts.liveness_timeout);
-            }
+        for w in self.workers.iter().filter(|w| w.healthy) {
             if let Some(d) = w.stale_deadline {
                 consider(d);
             }

@@ -37,16 +37,9 @@ pub enum WorkerEvent {
         /// The raw line (unparsed; the supervisor validates it).
         line: String,
     },
-    /// The worker's output channel closed for good — it exited, was
-    /// killed, or its transport gave up reconnecting.
+    /// The worker's output channel closed for good — it exited or was
+    /// killed.
     Gone {
-        /// The worker's id.
-        worker: u64,
-    },
-    /// The worker's transport dropped and came back (a socket
-    /// reconnect). The worker is alive, but anything that was in
-    /// flight on it is lost and must be requeued.
-    Reset {
         /// The worker's id.
         worker: u64,
     },
@@ -64,16 +57,6 @@ pub trait WorkerLink {
 
     /// Forcibly terminates the worker. Idempotent.
     fn kill(&mut self);
-
-    /// Whether this link crosses a host boundary. Remote links opt
-    /// into host-level liveness: their workers heartbeat on a timer,
-    /// and silence beyond
-    /// [`SweepOptions::liveness_timeout`] is treated as a vanished
-    /// host. Local links (pipes) report death through
-    /// [`WorkerEvent::Gone`] instead, so they default to `false`.
-    fn remote(&self) -> bool {
-        false
-    }
 }
 
 /// Spawns workers. Abstracted so the retry/quarantine machinery is
@@ -210,12 +193,6 @@ pub struct SweepOptions {
     pub max_shard_attempts: u32,
     /// Corrupt replies tolerated per worker before quarantine.
     pub max_worker_strikes: u32,
-    /// Host-level liveness window for remote workers
-    /// ([`WorkerLink::remote`]): a remote worker that produces no
-    /// output line (heartbeat or otherwise) for this long is treated
-    /// as a vanished host — written off and its shard requeued. Must
-    /// comfortably exceed the workers' heartbeat interval.
-    pub liveness_timeout: Duration,
 }
 
 impl Default for SweepOptions {
@@ -227,7 +204,6 @@ impl Default for SweepOptions {
             backoff_cap: Duration::from_secs(2),
             max_shard_attempts: 4,
             max_worker_strikes: 2,
-            liveness_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -254,13 +230,12 @@ pub struct SweepStats {
     pub quarantined: u64,
     /// Shards executed in-process (attempt exhaustion or no fleet).
     pub inproc_shards: u64,
-    /// Remote hosts written off for heartbeat silence.
+    /// Always 0: every worker is a local subprocess, so no host can be
+    /// lost. Kept only because the end-to-end benchmark still sums it;
+    /// it goes with the next change to the benchmark.
     pub hosts_lost: u64,
-    /// Transport reconnects ([`WorkerEvent::Reset`]) survived.
-    pub reconnects: u64,
-    /// Deployment-cache hits summed over worker heartbeat telemetry
-    /// (all transport sessions, not just the last — see
-    /// `docs/PROTOCOL.md` on heartbeat-delta accumulation).
+    /// Deployment-cache hits summed over the workers' latest
+    /// heartbeats.
     pub cache_hits: u64,
     /// Deployment-cache misses summed over worker heartbeat telemetry.
     pub cache_misses: u64,
@@ -274,7 +249,7 @@ impl std::fmt::Display for SweepStats {
             f,
             "workers {} (+{} spawn failures), retries {}, crashes {}, \
              timeouts {}, corrupt {}, refused {}, quarantined {}, in-process shards {}, \
-             hosts lost {}, reconnects {}, deploy cache {}/{} hit/miss (+{} evicted)",
+             hosts lost {}, deploy cache {}/{} hit/miss (+{} evicted)",
             self.workers_spawned,
             self.spawn_failures,
             self.retries,
@@ -285,7 +260,6 @@ impl std::fmt::Display for SweepStats {
             self.quarantined,
             self.inproc_shards,
             self.hosts_lost,
-            self.reconnects,
             self.cache_hits,
             self.cache_misses,
             self.cache_evictions

@@ -8,14 +8,9 @@
 //! shard so the supervisor sees results the moment they exist. EOF on
 //! stdin is the shutdown signal — the supervisor just closes the pipe.
 //!
-//! The socket-transport worker (`pbbf worker --listen`, see
-//! [`crate::tcp::serve_listener`]) speaks the identical line protocol
-//! over a TCP connection and shares the per-spec execution logic here
-//! ([`SpecOutcome`] via `outcome_for_spec`).
-//!
 //! Fault injection (`PBBF_FAULT`, parsed by
 //! [`FaultPlan::from_env`](crate::fault::FaultPlan::from_env)) is
-//! honored by both worker transports, never by the supervisor.
+//! honored here, never by the supervisor.
 
 use std::io::{BufRead, Write};
 
@@ -24,49 +19,6 @@ use crate::protocol::{
     checksum, encode_values, result_reply, CacheTelemetry, ShardError, ShardSpec, WorkerReply,
 };
 use serde_json::Value as Json;
-
-/// What executing one spec (fault plan applied) amounts to.
-pub(crate) enum SpecOutcome {
-    /// A reply line to send back.
-    Reply(WorkerReply),
-    /// Injected crash: the worker process must exit with this code.
-    Crash(i32),
-}
-
-/// Executes one spec under the fault plan. An injected hang sleeps
-/// right here, forever — in socket mode the heartbeat thread keeps
-/// beating, which is exactly the "host alive, shard wedged" shape the
-/// supervisor's per-shard deadline (not host liveness) must catch.
-pub(crate) fn outcome_for_spec<E>(plan: &FaultPlan, spec: &ShardSpec, exec: &E) -> SpecOutcome
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-{
-    match plan.fault_for(spec.id, spec.attempt) {
-        Some(FaultKind::Crash) => {
-            eprintln!("pbbf worker: injected crash on shard {}", spec.id);
-            SpecOutcome::Crash(3)
-        }
-        Some(FaultKind::Hang) => {
-            eprintln!("pbbf worker: injected hang on shard {}", spec.id);
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-        Some(FaultKind::Corrupt) => {
-            eprintln!("pbbf worker: injected corruption on shard {}", spec.id);
-            SpecOutcome::Reply(corrupt_reply(spec, exec))
-        }
-        None => SpecOutcome::Reply(match exec(&spec.job) {
-            Ok(values) => result_reply(spec.id, &values),
-            Err(error) => WorkerReply::Error(ShardError { id: spec.id, error }),
-        }),
-    }
-}
-
-/// Renders a reply to its wire line.
-pub(crate) fn render_reply(reply: &WorkerReply, shard_id: u32) -> String {
-    serde_json::to_string(reply).unwrap_or_else(|e| render_fallback_error(shard_id, &e.to_string()))
-}
 
 /// Builds the fallback `Error` line through the JSON encoder itself —
 /// hand-formatting it would emit an invalid line the moment the error
@@ -88,8 +40,8 @@ fn render_fallback_error(shard_id: u32, msg: &str) -> String {
 /// is reported to the supervisor as a refused shard (the worker stays
 /// alive). A stdin line that doesn't parse as a [`ShardSpec`] is
 /// unrecoverable — the worker can't even name the shard to refuse it —
-/// so the loop exits nonzero and lets the supervisor's liveness
-/// handling reassign whatever was in flight.
+/// so the loop exits nonzero and lets the supervisor's crash handling
+/// reassign whatever was in flight.
 ///
 /// After every reply the worker also writes a
 /// [`WorkerReply::Heartbeat`] line carrying `telemetry()`'s counters as
@@ -101,11 +53,32 @@ where
     T: Fn() -> CacheTelemetry,
 {
     let plan = FaultPlan::from_env();
+    serve(
+        &plan,
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+        &exec,
+        &telemetry,
+    )
+}
+
+/// The body of [`worker_loop_with`] over any line source and sink, so
+/// tests can drive it without a process boundary. An injected hang
+/// sleeps right here, forever: only the supervisor's per-shard
+/// deadline ends it.
+fn serve<E, T>(
+    plan: &FaultPlan,
+    input: impl BufRead,
+    mut out: impl Write,
+    exec: &E,
+    telemetry: &T,
+) -> i32
+where
+    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
+    T: Fn() -> CacheTelemetry,
+{
     let baseline = telemetry();
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
+    for line in input.lines() {
         let Ok(line) = line else { return 1 };
         if line.trim().is_empty() {
             continue;
@@ -117,18 +90,34 @@ where
                 return 1;
             }
         };
-        let reply = match outcome_for_spec(&plan, &spec, &exec) {
-            SpecOutcome::Reply(reply) => reply,
-            SpecOutcome::Crash(code) => return code,
+        let reply = match plan.fault_for(spec.id, spec.attempt) {
+            Some(FaultKind::Crash) => {
+                eprintln!("pbbf worker: injected crash on shard {}", spec.id);
+                return 3;
+            }
+            Some(FaultKind::Hang) => {
+                eprintln!("pbbf worker: injected hang on shard {}", spec.id);
+                loop {
+                    std::thread::sleep(std::time::Duration::from_secs(3600));
+                }
+            }
+            Some(FaultKind::Corrupt) => {
+                eprintln!("pbbf worker: injected corruption on shard {}", spec.id);
+                corrupt_reply(&spec, exec)
+            }
+            None => match exec(&spec.job) {
+                Ok(values) => result_reply(spec.id, &values),
+                Err(error) => WorkerReply::Error(ShardError { id: spec.id, error }),
+            },
         };
-        let mut rendered = render_reply(&reply, spec.id);
         let beat = WorkerReply::Heartbeat(telemetry().saturating_sub(baseline));
-        rendered.push('\n');
-        rendered.push_str(&render_reply(&beat, spec.id));
-        if writeln!(out, "{rendered}")
-            .and_then(|()| out.flush())
-            .is_err()
-        {
+        let render = |reply: &WorkerReply| {
+            serde_json::to_string(reply)
+                .unwrap_or_else(|e| render_fallback_error(spec.id, &e.to_string()))
+        };
+        // Both lines in one write, so the pair reaches the pipe together.
+        let lines = format!("{}\n{}", render(&reply), render(&beat));
+        if writeln!(out, "{lines}").and_then(|()| out.flush()).is_err() {
             return 1; // supervisor hung up
         }
     }
@@ -188,24 +177,54 @@ mod tests {
         assert_ne!(checksum(r.id, &r.values), r.checksum);
     }
 
-    #[test]
-    fn outcome_for_clean_spec_is_the_result_reply() {
+    /// Runs [`serve`] over `specs` (one per line) with a fixed
+    /// telemetry source; returns the exit code and the reply lines.
+    fn serve_specs(plan: &str, specs: &[ShardSpec]) -> (i32, Vec<WorkerReply>) {
+        let input: String = specs
+            .iter()
+            .map(|s| serde_json::to_string(s).unwrap() + "\n")
+            .collect();
         let exec = |_: &Json| Ok(vec![Some(1.0), None]);
-        let SpecOutcome::Reply(reply) = outcome_for_spec(&FaultPlan::parse(""), &spec(4), &exec)
-        else {
-            panic!("no fault planned");
+        let telemetry = || CacheTelemetry {
+            hits: 3,
+            misses: 1,
+            evictions: 0,
         };
-        assert_eq!(reply, result_reply(4, &[Some(1.0), None]));
+        let mut out = Vec::new();
+        let code = serve(
+            &FaultPlan::parse(plan),
+            input.as_bytes(),
+            &mut out,
+            &exec,
+            &telemetry,
+        );
+        let replies = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("every line is a WorkerReply"))
+            .collect();
+        (code, replies)
     }
 
     #[test]
-    fn outcome_for_crash_fault_asks_for_exit() {
-        let exec = |_: &Json| Ok(vec![]);
-        let plan = FaultPlan::parse("crash:4");
-        assert!(matches!(
-            outcome_for_spec(&plan, &spec(4), &exec),
-            SpecOutcome::Crash(3)
-        ));
+    fn clean_spec_gets_its_result_then_a_heartbeat() {
+        let (code, replies) = serve_specs("", &[spec(4)]);
+        assert_eq!(code, 0, "EOF ends the loop cleanly");
+        assert_eq!(
+            replies,
+            [
+                result_reply(4, &[Some(1.0), None]),
+                // A constant counter source: the delta from loop start is 0.
+                WorkerReply::Heartbeat(CacheTelemetry::default()),
+            ]
+        );
+    }
+
+    #[test]
+    fn crash_fault_exits_before_replying() {
+        let (code, replies) = serve_specs("crash:4", &[spec(4), spec(5)]);
+        assert_eq!(code, 3);
+        assert!(replies.is_empty(), "{replies:?}");
     }
 
     #[test]

@@ -43,9 +43,6 @@ enum Action {
     Die,
     /// Say nothing (the hang shape — the deadline must catch it).
     Silent,
-    /// Transport dropped and came back: emit `Reset` (the in-flight
-    /// shard is lost on the far side, the worker survives).
-    Reset,
 }
 
 type Script = dyn Fn(usize, &ShardSpec) -> Vec<Action> + Send + Sync;
@@ -54,12 +51,6 @@ struct MockFactory {
     script: Arc<Script>,
     /// Slots whose spawn fails outright.
     fail_slots: Vec<usize>,
-    /// Spawn links that claim to be remote (host-liveness applies).
-    remote: bool,
-    /// Slots exempt from `remote` (mixed-fleet tests). A scripted mock
-    /// can't heartbeat while idle the way a real TCP worker does, so
-    /// liveness tests mark only the misbehaving slot remote.
-    local_slots: Vec<usize>,
 }
 
 impl MockFactory {
@@ -67,15 +58,6 @@ impl MockFactory {
         Self {
             script: Arc::new(script),
             fail_slots: Vec::new(),
-            remote: false,
-            local_slots: Vec::new(),
-        }
-    }
-
-    fn remote(script: impl Fn(usize, &ShardSpec) -> Vec<Action> + Send + Sync + 'static) -> Self {
-        Self {
-            remote: true,
-            ..Self::new(script)
         }
     }
 }
@@ -86,7 +68,6 @@ struct MockLink {
     events: Sender<WorkerEvent>,
     script: Arc<Script>,
     dead: bool,
-    remote: bool,
 }
 
 impl WorkerLink for MockLink {
@@ -117,11 +98,6 @@ impl WorkerLink for MockLink {
                     });
                 }
                 Action::Silent => {}
-                Action::Reset => {
-                    let _ = self.events.send(WorkerEvent::Reset {
-                        worker: self.worker,
-                    });
-                }
             }
         }
         Ok(())
@@ -134,10 +110,6 @@ impl WorkerLink for MockLink {
                 worker: self.worker,
             });
         }
-    }
-
-    fn remote(&self) -> bool {
-        self.remote
     }
 }
 
@@ -157,7 +129,6 @@ impl WorkerFactory for MockFactory {
             events,
             script: Arc::clone(&self.script),
             dead: false,
-            remote: self.remote && !self.local_slots.contains(&slot),
         }))
     }
 }
@@ -351,77 +322,10 @@ fn heartbeat_line(t: CacheTelemetry) -> String {
 }
 
 #[test]
-fn silent_remote_host_trips_liveness_not_the_shard_deadline() {
-    // Slot 0 goes completely dark on its first shard — the vanished-host
-    // shape. The shard deadline is far away; host liveness must be what
-    // reclaims the shard, and the honest worker finishes the sweep.
-    let mut factory = MockFactory::remote(|slot, spec| {
-        if slot == 0 {
-            vec![Action::Silent]
-        } else {
-            vec![Action::Reply(valid_reply(spec))]
-        }
-    });
-    // Only the dark host is remote: an idle scripted mock can't
-    // heartbeat, so an all-remote fleet would trip liveness at rest.
-    factory.local_slots = vec![1];
-    let mut o = opts(2);
-    o.liveness_timeout = Duration::from_millis(50);
-    let out = sweep_once(inputs(5, 2), &o, &factory);
-    assert_all_values(&out.values, 5, 2);
-    assert_eq!(out.stats.hosts_lost, 1);
-    assert_eq!(out.stats.quarantined, 1);
-    assert_eq!(out.stats.timeouts, 0, "liveness fired, not the deadline");
-}
-
-#[test]
-fn local_workers_are_exempt_from_liveness() {
-    // The same silence from a *local* (pipe) worker must NOT trip the
-    // host-liveness detector — pipes report death via Gone; only the
-    // per-shard deadline may reclaim this shard.
-    let factory = MockFactory::new(|slot, spec| {
-        if slot == 0 && spec.attempt == 0 {
-            vec![Action::Silent]
-        } else {
-            vec![Action::Reply(valid_reply(spec))]
-        }
-    });
-    let mut o = opts(2);
-    o.liveness_timeout = Duration::from_millis(20);
-    o.shard_timeout = Duration::from_millis(120);
-    let out = sweep_once(inputs(4, 2), &o, &factory);
-    assert_all_values(&out.values, 4, 2);
-    assert_eq!(out.stats.hosts_lost, 0);
-    assert_eq!(out.stats.timeouts, 1, "the deadline caught it instead");
-}
-
-#[test]
-fn transport_reset_requeues_without_losing_the_worker() {
-    // The yanked-cable-plugged-back-in path: the link reconnects mid-
-    // shard. The in-flight shard must requeue, the worker must stay in
-    // the fleet (it later completes the retry), and nothing counts as a
-    // crash or lost host.
-    let factory = MockFactory::remote(|_, spec| {
-        if spec.id == 2 && spec.attempt == 0 {
-            vec![Action::Reset]
-        } else {
-            vec![Action::Reply(valid_reply(spec))]
-        }
-    });
-    let out = sweep_once(inputs(6, 2), &opts(2), &factory);
-    assert_all_values(&out.values, 6, 2);
-    assert_eq!(out.stats.reconnects, 1);
-    assert_eq!(out.stats.crashes, 0);
-    assert_eq!(out.stats.hosts_lost, 0);
-    assert_eq!(out.stats.quarantined, 0);
-    assert!(out.stats.retries >= 1, "the lost shard was requeued");
-}
-
-#[test]
 fn heartbeat_telemetry_aggregates_across_the_fleet() {
     // Each worker heartbeats its cache counters after every reply; the
     // supervisor must keep the *latest* per worker and sum the fleet.
-    let factory = MockFactory::remote(|slot, spec| {
+    let factory = MockFactory::new(|slot, spec| {
         let t = if slot == 0 {
             CacheTelemetry {
                 hits: 5,
@@ -448,37 +352,34 @@ fn heartbeat_telemetry_aggregates_across_the_fleet() {
 }
 
 #[test]
-fn reconnect_accumulates_both_sessions_telemetry() {
-    // Heartbeats carry per-session totals; a transport reset starts a
-    // new session whose counters restart from zero. The sweep total
-    // must be the SUM of sessions, not the last session's counters —
-    // losing the first session's {5,2,1} was the historical bug.
-    let factory = MockFactory::new(|_, spec| match (spec.id, spec.attempt) {
-        (0, 0) => vec![
+fn dead_workers_last_heartbeat_still_counts() {
+    // A pipe worker's latest heartbeat is its running total; dying
+    // afterwards must not take its counters out of the fleet sum. With
+    // one worker, shard 1's crash collapses the fleet and the rest runs
+    // in-process, which adds no telemetry.
+    let factory = MockFactory::new(|_, spec| match spec.id {
+        0 => vec![
+            Action::Reply(valid_reply(spec)),
             Action::Reply(heartbeat_line(CacheTelemetry {
                 hits: 5,
                 misses: 2,
                 evictions: 1,
             })),
-            Action::Reset,
         ],
-        (0, _) => vec![
-            Action::Reply(heartbeat_line(CacheTelemetry {
-                hits: 3,
-                misses: 1,
-                evictions: 1,
-            })),
-            Action::Reply(valid_reply(spec)),
-        ],
-        _ => vec![Action::Reply(valid_reply(spec))],
+        _ => vec![Action::Die],
     });
-    let out = sweep_once(inputs(2, 2), &opts(1), &factory);
-    assert_all_values(&out.values, 2, 2);
-    assert_eq!(out.stats.reconnects, 1);
-    assert_eq!(out.stats.crashes, 0);
-    assert_eq!(out.stats.cache_hits, 8, "5 before + 3 after the reset");
-    assert_eq!(out.stats.cache_misses, 3);
-    assert_eq!(out.stats.cache_evictions, 2);
+    let out = sweep_once(inputs(3, 2), &opts(1), &factory);
+    assert_all_values(&out.values, 3, 2);
+    assert_eq!(out.stats.crashes, 1);
+    assert_eq!(out.stats.inproc_shards, 2);
+    assert_eq!(
+        (
+            out.stats.cache_hits,
+            out.stats.cache_misses,
+            out.stats.cache_evictions
+        ),
+        (5, 2, 1)
+    );
 }
 
 #[test]
@@ -620,7 +521,7 @@ fn queued_sweeps_multiplex_onto_one_fleet() {
 #[test]
 fn resident_fleet_survives_across_sweeps_with_disjoint_telemetry() {
     // Two sweeps, one scheduler: no respawn in between, and because
-    // the workers' session counters don't grow between sweeps, sweep 2
+    // the workers' counters don't grow between sweeps, sweep 2
     // must report a zero telemetry delta — consecutive sweeps see
     // non-overlapping windows of the same monotone fleet total.
     let beat = CacheTelemetry {
@@ -644,7 +545,7 @@ fn resident_fleet_survives_across_sweeps_with_disjoint_telemetry() {
     assert_all_values(&out2.values, 3, 2);
     assert_eq!(factory.spawns.load(Ordering::SeqCst), 2, "no respawn");
     assert_eq!(out2.stats.workers_spawned, 2);
-    assert_eq!(out1.stats.cache_hits, 10, "both workers' session totals");
+    assert_eq!(out1.stats.cache_hits, 10, "both workers' totals");
     assert_eq!(
         out2.stats.cache_hits, 0,
         "no new hits since sweep 1 settled"

@@ -8,20 +8,17 @@
 //! pbbf reproduce [--paper] [fig13 ...]          regenerate paper exhibits
 //! pbbf sweep     --workers 4 [fig04 ...]        multi-process figure sweep
 //! pbbf sweep     --figs fig13,fig17 [...]       several figures, ONE fleet
-//! pbbf sweep     --hosts a:7801,b:7801 [...]    ... mixing in TCP workers
 //! pbbf worker                                   (internal) sweep shard executor
-//! pbbf worker    --listen 0.0.0.0:7801          ... serving over TCP instead
 //! ```
 //!
 //! `sweep` shards a figure's Monte Carlo runs across `worker` child
-//! processes — and, with `--hosts`, across remote `worker --listen`
-//! processes over TCP — through the fault-tolerant fabric
-//! (`pbbf-fabric`). All requested figures run through a single
-//! *resident* fleet (one `SweepScheduler` queue), so remote workers
-//! keep their deployment caches warm from figure to figure; the stdout
-//! is byte-identical to `reproduce` of the same figures in the same
-//! order, which CI enforces under injected worker faults and a
-//! kill -9'd TCP worker (see `docs/OPERATIONS.md`). Argument parsing is
+//! processes through the fault-tolerant fabric (`pbbf-fabric`). All
+//! requested figures run through a single *resident* fleet (one
+//! `SweepScheduler` queue), so workers keep their deployment caches
+//! warm from figure to figure; the stdout is byte-identical to
+//! `reproduce` of the same figures in the same order, which CI enforces
+//! under injected worker faults and kill -9'd workers (see
+//! `docs/OPERATIONS.md`). Argument parsing is
 //! deliberately dependency-free (the offline crate budget is spent on
 //! simulation, not flag handling), but strict: every command declares
 //! its flag set and rejects strays instead of silently defaulting.
@@ -34,10 +31,7 @@ use pbbf::prelude::*;
 use pbbf_experiments::sweep::{
     assemble_sweep, run_sweep_shard, shardable_figures, sweep_manifest, sweepable_figures, ShardJob,
 };
-use pbbf_fabric::{
-    CacheTelemetry, HybridWorkerFactory, ProcessWorkerFactory, ServeOptions, ShardInput,
-    SweepOptions, SweepScheduler, TcpWorkerFactory, WorkerFactory,
-};
+use pbbf_fabric::{CacheTelemetry, ProcessWorkerFactory, ShardInput, SweepOptions, SweepScheduler};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,12 +73,11 @@ fn print_help() {
          \x20 ideal      --grid <n> --p <f> --q <f> [--updates <n>] [--seed <n>]\n\
          \x20 net        --p <f> --q <f> [--delta <f>] [--duration <s>] [--seed <n>]\n\
          \x20 reproduce  [--paper] [--plot] [--seed <n>] [table1 fig04 ... fig18]\n\
-         \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--hosts <h:p,...>]\n\
-         \x20            [--figs fig13,fig17,...] [--shard-timeout <s>] [--liveness <s>]\n\
-         \x20            [fig04 ... fig18]        sweep figures fig04-fig11, fig13-fig18\n\
+         \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--figs fig13,fig17,...]\n\
+         \x20            [--shard-timeout <s>] [fig04 ... fig18]\n\
+         \x20                                     sweep figures fig04-fig11, fig13-fig18\n\
          \x20                                     (default fig13-fig18; one resident fleet)\n\
-         \x20 worker     executes sweep shards from stdin (internal), or over TCP with\n\
-         \x20            [--listen <addr:port>] [--heartbeat <s>] [--once]\n\
+         \x20 worker     executes sweep shards from stdin (internal)\n\
          \x20 help\n\n\
          Wire protocol spec: docs/PROTOCOL.md; sweep ops guide: docs/OPERATIONS.md"
     );
@@ -125,6 +118,11 @@ fn parse(
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
             let Some(spec) = allowed.iter().find(|f| f.name == key) else {
+                if allowed.is_empty() {
+                    return Err(format!(
+                        "unknown flag --{key} (this command takes no flags)"
+                    ));
+                }
                 let names: Vec<String> = allowed.iter().map(|f| format!("--{}", f.name)).collect();
                 return Err(format!(
                     "unknown flag --{key} (this command accepts: {})",
@@ -210,6 +208,7 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
     let reliability = get_reliability(&flags, "reliability", 0.99)?;
     let runs = get_count(&flags, "runs", 150, 1, u32::MAX)?;
     let seed = get_u64(&flags, "seed", 2005)?;
+    check_boundary_memory(grid, runs)?;
     let g = Grid::square(grid);
     let ps: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
     let (critical, boundary) = pq_boundary(
@@ -229,6 +228,26 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
         t.row([format!("{p:.2}"), format!("{q:.4}")]);
     }
     print!("{}", t.render());
+    Ok(())
+}
+
+/// Refuses a `boundary` run whose working set would exceed 2 GiB, the
+/// bound [`IdealConfig::check_memory`] puts on the ideal sim, before
+/// anything is allocated. A node holds its position, its lattice
+/// adjacency, its two bonds (kept by the grid and by the Newman–Ziff
+/// driver), and the shuffled bond order and union-find of each sweep
+/// in flight: about 85 bytes of peak RSS with two sweeps in flight on
+/// 1000² and 2000² grids, so 128 bytes leaves room for more threads.
+/// Each run holds about 32 bytes of fan-out bookkeeping.
+fn check_boundary_memory(side: u32, runs: u32) -> Result<(), String> {
+    const MAX_BYTES: u128 = 2 << 30;
+    let bytes = 128 * u128::from(side).pow(2) + 32 * u128::from(runs);
+    if bytes > MAX_BYTES {
+        return Err(format!(
+            "a {side}x{side} percolation grid with {runs} runs needs about {bytes} bytes, \
+             above the {MAX_BYTES} byte (2 GiB) bound"
+        ));
+    }
     Ok(())
 }
 
@@ -380,36 +399,6 @@ fn cache_telemetry() -> CacheTelemetry {
     }
 }
 
-/// Splits `--hosts a:7801,b:7802` into endpoints, insisting every
-/// entry carries an explicit port — a bare hostname would silently
-/// resolve nowhere at connect time, which is too late to be helpful.
-fn parse_hosts(spec: &str) -> Result<Vec<String>, String> {
-    let mut hosts = Vec::new();
-    for raw in spec.split(',') {
-        let entry = raw.trim();
-        if entry.is_empty() {
-            return Err(format!(
-                "--hosts: empty entry in `{spec}` (expected host:port,host:port,...)"
-            ));
-        }
-        let Some((host, port)) = entry.rsplit_once(':') else {
-            return Err(format!(
-                "--hosts: `{entry}` has no port (expected host:port, e.g. 10.0.0.2:7801)"
-            ));
-        };
-        if host.is_empty() {
-            return Err(format!("--hosts: `{entry}` has no host before the colon"));
-        }
-        if port.parse::<u16>().is_err() {
-            return Err(format!(
-                "--hosts: `{entry}` has a bad port `{port}` (expected 1-65535)"
-            ));
-        }
-        hosts.push(entry.to_string());
-    }
-    Ok(hosts)
-}
-
 /// Splits `--figs fig13,fig17` into figure ids, rejecting empty
 /// entries — a stray comma means a typo'd figure, not a request for
 /// nothing.
@@ -486,60 +475,31 @@ fn get_reliability(
     Ok(r)
 }
 
-/// How many workers a sweep fleet gets: remote hosts plus local
-/// subprocesses. With `--hosts` alone the fleet is purely remote; a
-/// bare `--workers 0` would mean "no fleet at all", which is an error,
-/// not a degenerate sweep.
-fn plan_fleet(flags: &HashMap<String, String>, hosts: &[String]) -> Result<(usize, usize), String> {
-    let default_local = if hosts.is_empty() {
-        pbbf_parallel::max_threads() as u64
-    } else {
-        0
-    };
-    let local = get_u64(flags, "workers", default_local)? as usize;
-    if local == 0 && hosts.is_empty() {
-        return Err("--workers 0 with no --hosts leaves nothing to run shards; \
-             pass --workers >= 1 or add --hosts"
-            .to_string());
-    }
-    Ok((hosts.len(), local))
+/// The largest `sweep --workers` accepted. The fleet is also clamped
+/// to the queue's shard count, but a paper-effort queue holds over a
+/// thousand shards, and one worker process per shard would swamp any
+/// host this runs on.
+const MAX_WORKERS: u32 = 256;
+
+/// The sweep fleet size: `--workers`, from 1 to [`MAX_WORKERS`],
+/// defaulting to the thread budget.
+fn get_workers(flags: &HashMap<String, String>) -> Result<usize, String> {
+    let default = pbbf_parallel::max_threads().min(MAX_WORKERS as usize) as u32;
+    Ok(get_count(flags, "workers", default, 1, MAX_WORKERS)? as usize)
 }
 
 fn cmd_worker(args: &[String]) -> Result<(), String> {
-    let (flags, positional) = parse(args, &[val("listen"), val("heartbeat"), bare("once")])?;
+    let (_, positional) = parse(args, &[])?;
     if !positional.is_empty() {
         return Err(format!(
             "worker takes no positional arguments, got {positional:?}"
         ));
     }
-    let Some(listen) = flags.get("listen") else {
-        for conflicting in ["heartbeat", "once"] {
-            if flags.contains_key(conflicting) {
-                return Err(format!(
-                    "--{conflicting} only applies to TCP serving; add --listen <addr:port> \
-                     or drop it for stdin mode"
-                ));
-            }
-        }
-        let code = pbbf_fabric::worker_loop_with(exec_shard, cache_telemetry);
-        if code == 0 {
-            return Ok(());
-        }
-        std::process::exit(code)
-    };
-    let options = ServeOptions {
-        heartbeat: get_secs(&flags, "heartbeat", 1.0)?,
-        once: flags.contains_key("once"),
-    };
-    let listener = std::net::TcpListener::bind(listen.as_str())
-        .map_err(|e| format!("--listen {listen}: bind failed: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    // Announced on stdout (and flushed) so scripts binding port 0 can
-    // read the ephemeral port back; see docs/OPERATIONS.md.
-    println!("pbbf worker: listening on {addr}");
-    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| e.to_string())?;
-    pbbf_fabric::serve_listener(&listener, &options, exec_shard, cache_telemetry)
-        .map_err(|e| format!("serve on {addr}: {e}"))
+    let code = pbbf_fabric::worker_loop_with(exec_shard, cache_telemetry);
+    if code == 0 {
+        return Ok(());
+    }
+    std::process::exit(code)
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
@@ -550,9 +510,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             val("seed"),
             val("figs"),
             val("workers"),
-            val("hosts"),
             val("shard-timeout"),
-            val("liveness"),
         ],
     )?;
     let effort = if flags.contains_key("paper") {
@@ -574,11 +532,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             .map(ToString::to_string)
             .collect();
     }
-    let hosts = match flags.get("hosts") {
-        Some(spec) => parse_hosts(spec)?,
-        None => Vec::new(),
-    };
-    let (remote, local) = plan_fleet(&flags, &hosts)?;
+    let workers = get_workers(&flags)?;
     // Every manifest is built before any fleet is spawned: a typo'd
     // figure must fail fast, not after minutes of sweeping.
     let mut manifests = Vec::with_capacity(figures.len());
@@ -604,25 +558,15 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .collect();
     let total_shards: usize = queue.iter().map(Vec::len).sum();
     let opts = SweepOptions {
-        workers: (remote + local).clamp(1, total_shards.max(1)),
+        workers: workers.min(total_shards.max(1)),
         shard_timeout: get_secs(&flags, "shard-timeout", 120.0)?,
-        liveness_timeout: get_secs(&flags, "liveness", 10.0)?,
         ..SweepOptions::default()
     };
-    let process = ProcessWorkerFactory::current_exe(["worker"]).map_err(|e| e.to_string())?;
-    let factory: Box<dyn WorkerFactory> = if hosts.is_empty() {
-        Box::new(process)
-    } else {
-        Box::new(HybridWorkerFactory {
-            remote: TcpWorkerFactory::new(hosts),
-            remote_slots: remote,
-            local: process,
-        })
-    };
+    let factory = ProcessWorkerFactory::current_exe(["worker"]).map_err(|e| e.to_string())?;
     // ONE resident fleet serves the whole queue: workers — and their
     // deployment caches — survive from figure to figure instead of
     // being respawned per sweep.
-    let mut scheduler = SweepScheduler::new(opts, &*factory);
+    let mut scheduler = SweepScheduler::new(opts, &factory);
     let mut slots: Vec<Vec<Option<Vec<Option<f64>>>>> = queue
         .iter()
         .map(|sweep| (0..sweep.len()).map(|_| None).collect())
@@ -659,6 +603,14 @@ mod tests {
             err.contains("--workers"),
             "suggests the accepted set: {err}"
         );
+        // Multi-host flags are gone: old scripts fail loudly instead of
+        // quietly sweeping on this host. The non-shardable fig07 and the
+        // stray positional make both calls fail before a fleet is
+        // spawned or stdin is read, even if a flag were accepted.
+        let err = cmd_sweep(&argv("fig07 --hosts a:7801")).unwrap_err();
+        assert!(err.contains("unknown flag --hosts"), "{err}");
+        let err = cmd_worker(&argv("--listen 127.0.0.1:0 stray")).unwrap_err();
+        assert!(err.contains("unknown flag --listen"), "{err}");
     }
 
     #[test]
@@ -689,54 +641,17 @@ mod tests {
     }
 
     #[test]
-    fn hosts_parse_into_endpoints() {
+    fn workers_must_be_between_one_and_the_cap() {
+        for bad in ["0", "257", "100000", "4294967296"] {
+            let err = get_workers(&flag("workers", bad)).unwrap_err();
+            assert_eq!(err, "--workers: must be an integer from 1 to 256", "{bad}");
+        }
+        assert_eq!(get_workers(&flag("workers", "1")), Ok(1));
+        assert_eq!(get_workers(&flag("workers", "256")), Ok(256));
         assert_eq!(
-            parse_hosts("10.0.0.2:7801, node-b:7802").unwrap(),
-            ["10.0.0.2:7801", "node-b:7802"]
+            get_workers(&HashMap::new()),
+            Ok(pbbf_parallel::max_threads().min(256))
         );
-    }
-
-    #[test]
-    fn hosts_without_a_port_are_rejected() {
-        let err = parse_hosts("10.0.0.2").unwrap_err();
-        assert!(err.contains("no port"), "{err}");
-    }
-
-    #[test]
-    fn hosts_with_bad_ports_or_gaps_are_rejected() {
-        assert!(parse_hosts("a:70000").unwrap_err().contains("bad port"));
-        assert!(parse_hosts("a:x").unwrap_err().contains("bad port"));
-        assert!(parse_hosts("a:1,,b:2").unwrap_err().contains("empty entry"));
-        assert!(parse_hosts(":7801").unwrap_err().contains("no host"));
-    }
-
-    #[test]
-    fn fleet_defaults_to_local_threads_without_hosts() {
-        let (remote, local) = plan_fleet(&HashMap::new(), &[]).unwrap();
-        assert_eq!(remote, 0);
-        assert_eq!(local, pbbf_parallel::max_threads());
-    }
-
-    #[test]
-    fn fleet_with_hosts_defaults_to_purely_remote() {
-        let hosts = ["a:1".to_string(), "b:2".to_string()];
-        let (remote, local) = plan_fleet(&HashMap::new(), &hosts).unwrap();
-        assert_eq!((remote, local), (2, 0));
-    }
-
-    #[test]
-    fn fleet_mixes_remote_and_local_when_both_given() {
-        let hosts = ["a:1".to_string()];
-        let flags: HashMap<_, _> = [("workers".to_string(), "3".to_string())].into();
-        assert_eq!(plan_fleet(&flags, &hosts).unwrap(), (1, 3));
-    }
-
-    #[test]
-    fn zero_workers_without_hosts_is_an_error() {
-        let flags: HashMap<_, _> = [("workers".to_string(), "0".to_string())].into();
-        let err = plan_fleet(&flags, &[]).unwrap_err();
-        assert!(err.contains("--workers >= 1"), "{err}");
-        assert!(plan_fleet(&flags, &["a:1".to_string()]).is_ok());
     }
 
     fn flag(key: &str, value: &str) -> HashMap<String, String> {
@@ -791,10 +706,17 @@ mod tests {
         // before anything is allocated.
         for (grid, updates) in [("2", "4294967295"), ("65535", "1")] {
             let args = format!("--grid {grid} --p 0.5 --q 0.5 --updates {updates}");
-            let args: Vec<String> = args.split(' ').map(String::from).collect();
-            let err = cmd_ideal(&args).unwrap_err();
+            let err = cmd_ideal(&argv(&args)).unwrap_err();
             assert!(err.contains("2 GiB"), "{err}");
         }
+        // So are `boundary` grids past its own 2 GiB bound.
+        for grid in ["40000", "65535"] {
+            let args = format!("--grid {grid} --reliability 0.9 --runs 1");
+            let err = cmd_boundary(&argv(&args)).unwrap_err();
+            assert!(err.contains("2 GiB"), "{err}");
+        }
+        assert_eq!(check_boundary_memory(30, 150), Ok(()));
+        assert!(check_boundary_memory(2, u32::MAX).is_err());
     }
 
     #[test]
@@ -838,12 +760,12 @@ mod tests {
     #[test]
     fn durations_must_be_positive_and_finite() {
         for bad in ["0", "-3", "inf", "nan", "1e30"] {
-            let flags: HashMap<_, _> = [("liveness".to_string(), bad.to_string())].into();
-            assert!(get_secs(&flags, "liveness", 10.0).is_err(), "{bad}");
+            let flags = flag("shard-timeout", bad);
+            assert!(get_secs(&flags, "shard-timeout", 120.0).is_err(), "{bad}");
         }
-        let flags: HashMap<_, _> = [("liveness".to_string(), "2.5".to_string())].into();
+        let flags = flag("shard-timeout", "2.5");
         assert_eq!(
-            get_secs(&flags, "liveness", 10.0).unwrap(),
+            get_secs(&flags, "shard-timeout", 120.0).unwrap(),
             Duration::from_secs_f64(2.5)
         );
     }

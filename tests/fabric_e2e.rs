@@ -182,88 +182,3 @@ fn worker_speaks_the_shard_protocol() {
         "the trailer is cache telemetry"
     );
 }
-
-/// Spawns `pbbf worker --listen 127.0.0.1:0` and reads the announced
-/// ephemeral address off its stdout.
-fn spawn_tcp_worker(envs: &[(&str, &str)]) -> (std::process::Child, String) {
-    use std::io::{BufRead, BufReader};
-    let mut cmd = pbbf();
-    cmd.args(["worker", "--listen", "127.0.0.1:0"])
-        .env_remove("PBBF_FAULT")
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().expect("spawn tcp worker");
-    let stdout = child.stdout.take().expect("worker stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read listen announcement");
-    let addr = line
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("announcement ends with the address")
-        .to_string();
-    assert!(
-        addr.starts_with("127.0.0.1:"),
-        "unexpected announcement: {line}"
-    );
-    (child, addr)
-}
-
-#[test]
-fn cross_host_sweep_is_bitwise_identical_to_reproduce() {
-    let clean = reproduce_bytes();
-    let (mut worker, addr) = spawn_tcp_worker(&[]);
-    let swept = run(
-        &[
-            "sweep",
-            FIGURE,
-            "--seed",
-            SEED,
-            "--hosts",
-            &addr,
-            "--workers",
-            "1",
-        ],
-        &[],
-    );
-    let _ = worker.kill();
-    let _ = worker.wait();
-    assert_eq!(
-        swept, clean,
-        "cross-host sweep bytes diverged from reproduce"
-    );
-}
-
-#[test]
-fn cross_host_sweep_survives_a_crashing_tcp_worker_bitwise() {
-    let clean = reproduce_bytes();
-    // The TCP worker crashes (process exit, listener and all) on the
-    // first shard it is dealt — the wildcard selector keeps this
-    // independent of shard scheduling. The local subprocess worker must
-    // absorb the whole manifest and the bytes must not move.
-    let (mut worker, addr) = spawn_tcp_worker(&[("PBBF_FAULT", "crash:*")]);
-    let swept = run(
-        &[
-            "sweep",
-            FIGURE,
-            "--seed",
-            SEED,
-            "--hosts",
-            &addr,
-            "--workers",
-            "1",
-        ],
-        &[],
-    );
-    let _ = worker.kill();
-    let _ = worker.wait();
-    assert_eq!(
-        swept, clean,
-        "sweep with a crashed TCP worker diverged from reproduce"
-    );
-}
