@@ -56,6 +56,9 @@
 //!   events). Receptions, counters and hop distances are asserted equal
 //!   before timing, energy to 1e-12 relative (the engines add the same
 //!   terms in a different order); the ratio is the jump's gate.
+//! * `ideal_sim_paper_point` — one Section-4 sweep point at paper effort:
+//!   ten idealized runs on the 75×75 grid with 5 updates each, at
+//!   PBBF(p = 0.5, q = 0.3). The Section-4 figures are 57 such points.
 //! * `fig06_quick_effort` — one full figure regeneration at quick effort.
 //!
 //! Kernels that resolve deployments through the process-wide registry do
@@ -66,6 +69,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pbbf_des::{EventQueue, SimDuration, SimRng, SimTime};
 use pbbf_experiments::{fig06, Effort};
+use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode};
 use pbbf_net_sim::{
     BoundaryEngine, CachedDeployment, DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim,
 };
@@ -374,6 +378,21 @@ fn net_sim_run_quiescent(c: &mut Criterion) {
     });
 }
 
+fn ideal_sim_paper_point(c: &mut Criterion) {
+    // Table 1 is the paper-effort scenario: a 75×75 grid, 5 updates.
+    let sim = IdealSim::new(
+        IdealConfig::table1(),
+        Mode::SleepScheduled(pbbf_core::PbbfParams::new(0.5, 0.3).expect("valid")),
+    );
+    c.bench_function("ideal_sim_paper_point", |b| {
+        b.iter(|| {
+            for r in 0..10 {
+                black_box(sim.run(r));
+            }
+        })
+    });
+}
+
 fn figure_quick(c: &mut Criterion) {
     let effort = Effort::quick();
     c.bench_function("fig06_quick_effort", |b| b.iter(|| fig06(&effort, 2005)));
@@ -386,6 +405,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(300));
     targets = deployment_edges, deployment_build_10k, event_queue_schedule_pop, channel_churn_dense,
-        net_sim_run, net_sim_run_dense, net_sim_run_sparse, net_sim_run_quiescent, figure_quick
+        net_sim_run, net_sim_run_dense, net_sim_run_sparse, net_sim_run_quiescent,
+        ideal_sim_paper_point, figure_quick
 }
 criterion_main!(baseline);

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pbbf_bench::{bench_effort, print_exhibit};
+use pbbf_experiments::sweep::SweepMemo;
 use pbbf_experiments::Experiment;
 
 fn bench_net_figures(c: &mut Criterion) {
@@ -16,7 +17,15 @@ fn bench_net_figures(c: &mut Criterion) {
         Experiment::Fig18,
     ] {
         print_exhibit(exp.id(), &exp.run(&effort, 2005).render_text());
-        c.bench_function(exp.id(), |b| b.iter(|| exp.run(&effort, 2005)));
+        // Cleared every iteration: the sweep memo would otherwise serve
+        // each iteration after the first from the records it cached,
+        // timing a fold instead of the figure's simulations.
+        c.bench_function(exp.id(), |b| {
+            b.iter(|| {
+                SweepMemo::global().clear();
+                exp.run(&effort, 2005)
+            })
+        });
     }
 }
 

@@ -1,21 +1,40 @@
-//! The sweep pipeline: one table of every Monte Carlo figure sweep, and
-//! the shard manifests that distribute it.
+//! The sweep pipeline: one table of every Monte Carlo figure sweep, the
+//! memo that runs each sweep family once, and the shard manifests that
+//! distribute it.
 //!
 //! Every Section-4 (fig04, fig05, fig08–fig11) and Section-5
 //! (fig13–fig18) figure is one row of `SWEEPS`: a catalogue id, the
-//! simulator and x-axis it sweeps with its per-run metric (`Kind`),
-//! and the figure dressing. The machinery is split into four pure
-//! stages — `Sweep::points` (the parameter grid),
-//! `Sweep::run_chunk` (a `(point, run-range)` Monte Carlo slice),
-//! `fold_point_values` (run-ordered per-point confidence intervals)
-//! and `Sweep::assemble` (series layout + figure dressing) — so the
-//! in-process fan-out (`Sweep::run`, behind every `figNN` function)
-//! and the distributed sweep fabric (`pbbf sweep`, executed by `pbbf
-//! worker` processes) share every stage except scheduling. A chunk's
-//! values depend only on `(effort, seed, point, run range)`, and the
-//! fold consumes them in manifest order, so *where* a chunk ran — this
-//! thread pool, another process, a retried worker — cannot change a
-//! figure's bytes.
+//! sweep *family* it belongs to with the figure's projection of that
+//! family's per-run record (`Kind`), and the figure dressing. The rows
+//! of one family sweep the same point grid with the same seeds and
+//! differ only in what they read of each run, so a family is simulated
+//! once and its figures are projections:
+//!
+//! | family     | figures                   | per-run record                                         |
+//! |------------|---------------------------|--------------------------------------------------------|
+//! | `Ideal`    | fig04, 05, 08, 09, 10, 11 | r90, r99, energy, near/far-probe hops, per-hop latency |
+//! | `NetQ`     | fig13, 14, 15, 16         | energy, 2-hop and 5-hop latency, delivery              |
+//! | `NetDelta` | fig17, 18                 | latency, delivery                                      |
+//!
+//! The machinery is split into four pure stages — `Sweep::points` (the
+//! family's parameter grid), `Sweep::run_chunk` (a `(point, run-range)`
+//! Monte Carlo slice, projected to the figure's metric),
+//! `fold_point_values` (run-ordered per-point confidence intervals) and
+//! `Sweep::assemble` (series layout + figure dressing) — so the
+//! in-process fan-out (`Sweep::run`, behind every `figNN` function) and
+//! the distributed sweep fabric (`pbbf sweep`, executed by `pbbf worker`
+//! processes) share every stage except scheduling.
+//!
+//! `run_chunk` resolves its chunk through the process-wide
+//! [`SweepMemo`]: the first figure of a family simulates the chunk, keeps
+//! each run's record (a few floats; the simulator statistics are dropped
+//! at once) and the family's later figures fold the cached records. A
+//! chunk's records depend only on `(family, effort, seed, point, run
+//! range)` — the memo key — and the fold consumes them in manifest
+//! order, so *where* a chunk ran or whether it was cached — this thread
+//! pool, another process, a retried worker, an earlier figure — cannot
+//! change a figure's bytes. A `pbbf worker` process keeps its own memo,
+//! so the fabric's wire format carries projected values, not records.
 //!
 //! The contract that makes sharding bitwise-safe lives here too: a
 //! [`SweepManifest`] names every `(point, run-range)` chunk of a sweep
@@ -39,7 +58,9 @@ use pbbf_core::PbbfParams;
 use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode, RunStats};
 use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
 use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim};
+use pbbf_parallel::{CacheStats, LruMemo};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::{mix, Effort};
 
@@ -95,21 +116,88 @@ fn net_config(effort: &Effort, delta: f64) -> NetConfig {
     cfg
 }
 
-/// Which simulator a sweep runs, over which x-axis, and what it
-/// measures per run. A Section-4 metric reads the [`Effort`] for the
-/// hop-probe distances of Figs 9–10.
+/// A sweep family — which simulator it runs over which x-axis — with
+/// the figure's projection of the family's per-run record. Every row of
+/// one family sweeps the same points, seeds and runs, so the family's
+/// chunks are simulated once and memoized ([`SweepMemo`]).
 #[derive(Clone, Copy)]
 pub(crate) enum Kind {
     /// The idealized grid simulator over `q`: one PBBF series per
     /// [`IDEAL_P_VALUES`] entry plus flat baselines.
-    Ideal(fn(&Effort, &RunStats) -> Option<f64>),
+    Ideal(fn(&IdealRecord) -> Option<f64>),
     /// The realistic simulator over `q` at the Table-2 density: one PBBF
     /// series per [`NET_P_VALUES`] entry plus flat baselines.
-    NetQ(fn(&NetRunStats) -> Option<f64>),
+    NetQ(fn(&NetQRecord) -> Option<f64>),
     /// The realistic simulator over density Δ at fixed `q = 0.25`: one
     /// PBBF series per [`DELTA_P_VALUES`] entry plus per-density
     /// baselines.
-    NetDelta(fn(&NetRunStats) -> Option<f64>),
+    NetDelta(fn(&NetDeltaRecord) -> Option<f64>),
+}
+
+/// What the `Ideal` family's figures read of one idealized run. The
+/// hop probes are the [`Effort`]'s, which the memo key includes.
+pub(crate) struct IdealRecord {
+    r90: f64,
+    r99: f64,
+    energy: f64,
+    hops_near: Option<f64>,
+    hops_far: Option<f64>,
+    per_hop_latency: Option<f64>,
+}
+
+impl IdealRecord {
+    fn new(effort: &Effort, run: &RunStats) -> Self {
+        Self {
+            r90: run.fraction_of_updates_with_reliability(0.9),
+            r99: run.fraction_of_updates_with_reliability(0.99),
+            energy: run.mean_energy_per_update(),
+            hops_near: run.mean_hops_at_distance(effort.hop_probe_near),
+            hops_far: run.mean_hops_at_distance(effort.hop_probe_far),
+            per_hop_latency: run.mean_per_hop_latency(),
+        }
+    }
+}
+
+/// What the `NetQ` family's figures read of one realistic run.
+pub(crate) struct NetQRecord {
+    energy: f64,
+    latency_2hop: Option<f64>,
+    latency_5hop: Option<f64>,
+    delivery: f64,
+}
+
+impl NetQRecord {
+    fn new(run: &NetRunStats) -> Self {
+        Self {
+            energy: run.energy_per_update(),
+            latency_2hop: run.mean_latency_at_hops(2),
+            latency_5hop: run.mean_latency_at_hops(5),
+            delivery: run.mean_delivery_ratio(),
+        }
+    }
+}
+
+/// What the `NetDelta` family's figures read of one realistic run.
+pub(crate) struct NetDeltaRecord {
+    latency: Option<f64>,
+    delivery: f64,
+}
+
+impl NetDeltaRecord {
+    fn new(run: &NetRunStats) -> Self {
+        Self {
+            latency: run.mean_latency(),
+            delivery: run.mean_delivery_ratio(),
+        }
+    }
+}
+
+/// One chunk's per-run records, in run order: what the [`SweepMemo`]
+/// stores.
+enum Records {
+    Ideal(Vec<IdealRecord>),
+    NetQ(Vec<NetQRecord>),
+    NetDelta(Vec<NetDeltaRecord>),
 }
 
 /// One figure sweep: catalogue identity, simulator, axis and metric,
@@ -126,73 +214,73 @@ pub(crate) struct Sweep {
 pub(crate) const SWEEPS: [Sweep; 12] = [
     Sweep {
         id: "fig04",
-        kind: Kind::Ideal(|_, r| Some(r.fraction_of_updates_with_reliability(0.9))),
+        kind: Kind::Ideal(|r| Some(r.r90)),
         title: |_| "Figure 4: Threshold behavior for 90% reliability".into(),
         y_label: |_| "Fraction of updates received by 90% of nodes".into(),
     },
     Sweep {
         id: "fig05",
-        kind: Kind::Ideal(|_, r| Some(r.fraction_of_updates_with_reliability(0.99))),
+        kind: Kind::Ideal(|r| Some(r.r99)),
         title: |_| "Figure 5: Threshold behavior for 99% reliability".into(),
         y_label: |_| "Fraction of updates received by 99% of nodes".into(),
     },
     Sweep {
         id: "fig08",
-        kind: Kind::Ideal(|_, r| Some(r.mean_energy_per_update())),
+        kind: Kind::Ideal(|r| Some(r.energy)),
         title: |_| "Figure 8: Average energy consumption".into(),
         y_label: |_| "Joules consumed / total updates sent at source".into(),
     },
     Sweep {
         id: "fig09",
-        kind: Kind::Ideal(|e, r| r.mean_hops_at_distance(e.hop_probe_near)),
+        kind: Kind::Ideal(|r| r.hops_near),
         title: |e| hops_title(9, e.hop_probe_near),
         y_label: |e| format!("Average {}-hop flooding hop count", e.hop_probe_near),
     },
     Sweep {
         id: "fig10",
-        kind: Kind::Ideal(|e, r| r.mean_hops_at_distance(e.hop_probe_far)),
+        kind: Kind::Ideal(|r| r.hops_far),
         title: |e| hops_title(10, e.hop_probe_far),
         y_label: |e| format!("Average {}-hop flooding hop count", e.hop_probe_far),
     },
     Sweep {
         id: "fig11",
-        kind: Kind::Ideal(|_, r| r.mean_per_hop_latency()),
+        kind: Kind::Ideal(|r| r.per_hop_latency),
         title: |_| "Figure 11: Average per-hop update latency".into(),
         y_label: |_| "Average per-hop update latency (s)".into(),
     },
     Sweep {
         id: "fig13",
-        kind: Kind::NetQ(|r| Some(r.energy_per_update())),
+        kind: Kind::NetQ(|r| Some(r.energy)),
         title: |_| "Figure 13: Average energy consumption".into(),
         y_label: |_| "Joules consumed / total updates sent at source".into(),
     },
     Sweep {
         id: "fig14",
-        kind: Kind::NetQ(|r| r.mean_latency_at_hops(2)),
+        kind: Kind::NetQ(|r| r.latency_2hop),
         title: |_| "Figure 14: 2-hop average update latency".into(),
         y_label: |_| "Average 2-hop latency (s)".into(),
     },
     Sweep {
         id: "fig15",
-        kind: Kind::NetQ(|r| r.mean_latency_at_hops(5)),
+        kind: Kind::NetQ(|r| r.latency_5hop),
         title: |_| "Figure 15: 5-hop average update latency".into(),
         y_label: |_| "Average 5-hop latency (s)".into(),
     },
     Sweep {
         id: "fig16",
-        kind: Kind::NetQ(|r| Some(r.mean_delivery_ratio())),
+        kind: Kind::NetQ(|r| Some(r.delivery)),
         title: |_| "Figure 16: Average updates received".into(),
         y_label: |_| "Updates received / total updates sent at source".into(),
     },
     Sweep {
         id: "fig17",
-        kind: Kind::NetDelta(NetRunStats::mean_latency),
+        kind: Kind::NetDelta(|r| r.latency),
         title: |_| "Figure 17: Average update latency".into(),
         y_label: |_| "Average update latency (s)".into(),
     },
     Sweep {
         id: "fig18",
-        kind: Kind::NetDelta(|r| Some(r.mean_delivery_ratio())),
+        kind: Kind::NetDelta(|r| Some(r.delivery)),
         title: |_| "Figure 18: Average updates received".into(),
         y_label: |_| "Updates received / total updates sent at source".into(),
     },
@@ -258,13 +346,20 @@ fn q_grid(
 impl Sweep {
     /// The sweep's parameter grid, in point order: the PBBF points of
     /// every series, then the baselines. A pure function of
-    /// `(kind, effort, seed)` — the distributed fabric relies on every
+    /// `(family, effort, seed)` — the distributed fabric relies on every
     /// process rebuilding the identical grid from the manifest header.
     pub(crate) fn points(&self, effort: &Effort, seed: u64) -> Vec<Point> {
         let deploy_seed = mix(seed, DEPLOY_SALT);
         match self.kind {
             Kind::Ideal(_) => {
                 let cfg = ideal_config(effort);
+                // The baseline salt `label.len()` collides with PBBF-0.05's
+                // `0 << 32 | qi` salts: PSM (3) shares its per-run seeds
+                // with the qi = 3 point and NO PSM (6) with qi = 6. The
+                // runs still differ (different modes), and the memo keys
+                // by point index, not seed, so they resolve to distinct
+                // records. The salt stays because moving it would change
+                // pinned output bytes (fingerprints and perfbench pins).
                 q_grid(&IDEAL_P_VALUES, effort, seed, |label| label.len() as u64)
                     .into_iter()
                     .map(|(params, seed)| Point::Ideal {
@@ -320,36 +415,64 @@ impl Sweep {
         }
     }
 
-    /// Executes runs `rs` of one point, returning the metric value per
-    /// run in run order. This is the unit the fabric ships to worker
-    /// processes and the chunk job of the in-process fan-out — one code
-    /// path, so a shard re-executed anywhere is bitwise identical. The
-    /// simulator is built once per chunk, and each run's statistics are
-    /// dropped as soon as its metric is taken.
+    /// Executes runs `rs` of point `point` (`pt`, of the sweep at
+    /// `(effort, seed)`), returning the figure's metric value per run in
+    /// run order. This is the unit the fabric ships to worker processes
+    /// and the chunk job of the in-process fan-out — one code path, so a
+    /// shard re-executed anywhere is bitwise identical.
     ///
-    /// Each run's RNG stream depends only on `(point seed, run index)`.
-    /// Net-sim deployments resolve through the process-wide registry
-    /// ([`DeploymentCache::global`]) — the single resolution path,
-    /// inside the chunk job: every point with the same geometry reuses
-    /// run `r`'s connected deployment instead of redrawing it per
-    /// protocol mode, and sweeps in *other* figures with the same
-    /// geometry and deployment-seed stream (fig13–16 vs the
-    /// latency-tail and k-trade-off extensions) resolve to the same
-    /// entries. Each run shares the cached topology by `Arc` straight
-    /// into its channel — no per-run copy. The cached draw is a pure
-    /// function of `(deployment seed, geometry)`, so all of this
-    /// sharing preserves thread-count (and process-count) invariance.
+    /// The chunk's records resolve through [`SweepMemo::global`]: the
+    /// first figure of a family to ask simulates the runs and every
+    /// later figure of the family projects the cached records. Each
+    /// run's RNG stream depends only on `(point seed, run index)`, so a
+    /// cached record is exactly what a recomputation would produce.
     pub(crate) fn run_chunk(
         &self,
         effort: &Effort,
+        seed: u64,
+        point: usize,
         pt: &Point,
         rs: std::ops::Range<usize>,
     ) -> Vec<Option<f64>> {
+        let key = ChunkKey {
+            family: std::mem::discriminant(&self.kind),
+            effort: effort_key(effort),
+            seed,
+            point,
+            runs: (rs.start, rs.end),
+        };
+        let records = SweepMemo::global()
+            .memo
+            .get_or_insert_with(key, || self.simulate(effort, pt, rs));
+        match (self.kind, &*records) {
+            (Kind::Ideal(metric), Records::Ideal(runs)) => runs.iter().map(metric).collect(),
+            (Kind::NetQ(metric), Records::NetQ(runs)) => runs.iter().map(metric).collect(),
+            (Kind::NetDelta(metric), Records::NetDelta(runs)) => runs.iter().map(metric).collect(),
+            _ => unreachable!("the memo key includes the family"),
+        }
+    }
+
+    /// Simulates runs `rs` of one point and keeps each run's family
+    /// record. The simulator is built once per chunk, and each run's
+    /// statistics are dropped as soon as its record is taken.
+    ///
+    /// Net-sim deployments resolve through the process-wide registry
+    /// ([`DeploymentCache::global`]): every point with the same geometry
+    /// reuses run `r`'s connected deployment instead of redrawing it per
+    /// protocol mode, and the latency-tail and k-trade-off extensions
+    /// resolve to the same deployments as the `NetQ` family. Each run
+    /// shares the cached topology by `Arc` straight into its channel.
+    /// The cached draw is a pure function of `(deployment seed,
+    /// geometry)`, so this sharing preserves thread-count (and
+    /// process-count) invariance.
+    fn simulate(&self, effort: &Effort, pt: &Point, rs: std::ops::Range<usize>) -> Records {
         match (*pt, self.kind) {
-            (Point::Ideal { cfg, mode, seed }, Kind::Ideal(metric)) => {
+            (Point::Ideal { cfg, mode, seed }, Kind::Ideal(_)) => {
                 let sim = IdealSim::new(cfg, mode);
-                rs.map(|r| metric(effort, &sim.run(mix(seed, r as u64))))
-                    .collect()
+                Records::Ideal(
+                    rs.map(|r| IdealRecord::new(effort, &sim.run(mix(seed, r as u64))))
+                        .collect(),
+                )
             }
             (
                 Point::Net {
@@ -358,15 +481,21 @@ impl Sweep {
                     seed,
                     deploy_seed,
                 },
-                Kind::NetQ(metric) | Kind::NetDelta(metric),
+                kind,
             ) => {
                 let sim = NetSim::new(cfg, mode);
-                rs.map(|r| {
+                let run = |r: usize| {
                     let deployment =
                         DeploymentCache::global().get_or_draw(&cfg, mix(deploy_seed, r as u64));
-                    metric(&sim.run_on(mix(seed, r as u64), &deployment))
-                })
-                .collect()
+                    sim.run_on(mix(seed, r as u64), &deployment)
+                };
+                match kind {
+                    Kind::NetQ(_) => Records::NetQ(rs.map(|r| NetQRecord::new(&run(r))).collect()),
+                    Kind::NetDelta(_) => {
+                        Records::NetDelta(rs.map(|r| NetDeltaRecord::new(&run(r))).collect())
+                    }
+                    Kind::Ideal(_) => unreachable!("an ideal sweep's points are ideal points"),
+                }
             }
             _ => unreachable!("a sweep's points run the sweep's own simulator"),
         }
@@ -404,10 +533,93 @@ impl Sweep {
             points.len(),
             effort.runs as usize,
             RUN_CHUNK,
-            |pi, rs| self.run_chunk(effort, &points[pi], rs),
+            |pi, rs| self.run_chunk(effort, seed, pi, &points[pi], rs),
         );
         self.assemble(effort, &fold_point_values(vals))
     }
+}
+
+/// The identity of one chunk's records. The sweep's points are a pure
+/// function of `(family, effort, seed)`, so with the point *index* and
+/// run range this names the chunk's runs exactly. The index matters:
+/// points of one family can share a point seed (see `Sweep::points`'s
+/// ideal baselines) while running different modes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct ChunkKey {
+    /// The family: the variant of `Kind`, whatever its projection.
+    family: std::mem::Discriminant<Kind>,
+    effort: [u64; 8],
+    seed: u64,
+    point: usize,
+    runs: (usize, usize),
+}
+
+/// The bounded, process-wide memo of `(point, run-range)` chunk records
+/// that lets the figures of one sweep family share their simulations.
+///
+/// An entry is one chunk's per-run records — a few floats per run, never
+/// the simulator statistics — keyed by family, effort, seed, point index
+/// and run range. A record is a pure function of its key, so a hit
+/// returns exactly what recomputation would; eviction and
+/// [`SweepMemo::clear`] can cost time, never change a value. Past
+/// [`SweepMemo::CAPACITY`] chunks the least-recently-used are evicted.
+pub struct SweepMemo {
+    memo: LruMemo<ChunkKey, Records>,
+}
+
+impl SweepMemo {
+    /// The capacity bound (chunks). One `Effort::paper()` seed of all
+    /// twelve sweep figures makes 266 chunks (114 `Ideal`, 92 `NetQ`, 60
+    /// `NetDelta`) of at most `RUN_CHUNK` records of under 100 bytes
+    /// each, so the bound holds fifteen seeds resident in under 4 MB.
+    pub const CAPACITY: usize = 4096;
+
+    /// The process-wide memo every sweep chunk resolves through.
+    #[must_use]
+    pub fn global() -> &'static SweepMemo {
+        static GLOBAL: OnceLock<SweepMemo> = OnceLock::new();
+        GLOBAL.get_or_init(|| SweepMemo {
+            memo: LruMemo::with_capacity(Self::CAPACITY),
+        })
+    }
+
+    /// Drops every memoized chunk, so the next lookup of each
+    /// recomputes. The counters are kept.
+    pub fn clear(&self) {
+        self.memo.clear();
+    }
+
+    /// A snapshot of the counters and occupancy: `misses` counts chunks
+    /// simulated, `hits` chunks served from the memo.
+    #[must_use]
+    pub fn stats(&self) -> CacheStats {
+        self.memo.stats()
+    }
+}
+
+/// Every field of `effort` as key bits (floats by bit pattern).
+fn effort_key(effort: &Effort) -> [u64; 8] {
+    // Destructured, so a new `Effort` field cannot be left out of the key.
+    let Effort {
+        runs,
+        ideal_grid_side,
+        ideal_updates,
+        nz_runs,
+        net_duration_secs,
+        q_points,
+        hop_probe_near,
+        hop_probe_far,
+    } = *effort;
+    [
+        runs.into(),
+        ideal_grid_side.into(),
+        ideal_updates.into(),
+        nz_runs.into(),
+        net_duration_secs.to_bits(),
+        q_points.into(),
+        hop_probe_near.into(),
+        hop_probe_far.into(),
+    ]
 }
 
 /// Lays a `q`-axis sweep out: one series per `p` line over
@@ -600,7 +812,13 @@ pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
             job.run0, job.run1, job.effort.runs
         ));
     }
-    Ok(sweep.run_chunk(&job.effort, pt, job.run0 as usize..job.run1 as usize))
+    Ok(sweep.run_chunk(
+        &job.effort,
+        job.seed,
+        job.point as usize,
+        pt,
+        job.run0 as usize..job.run1 as usize,
+    ))
 }
 
 /// Folds per-shard value vectors (one per manifest shard, in manifest
@@ -706,6 +924,30 @@ mod tests {
                 crate::Output::Figure(assemble_sweep(&m, values)),
                 reproduced,
                 "{id}"
+            );
+        }
+    }
+
+    #[test]
+    fn ideal_baselines_sharing_a_point_seed_resolve_to_distinct_records() {
+        // At paper effort PSM (point 55) and NO PSM (56) reuse the point
+        // seeds of PBBF-0.05 at qi = 3 and qi = 6 (see `Sweep::points`);
+        // a memo keyed by point seed would hand them PBBF's records.
+        let e = Effort::paper();
+        let seed = 0x5EED_C011;
+        let fig08 = sweep("fig08").unwrap();
+        let points = fig08.points(&e, seed);
+        let point_seed = |i: usize| match points[i] {
+            Point::Ideal { seed, .. } => seed,
+            Point::Net { .. } => unreachable!("fig08 sweeps the ideal simulator"),
+        };
+        for (pbbf, baseline) in [(3, 55), (6, 56)] {
+            assert_eq!(point_seed(pbbf), point_seed(baseline));
+            let energy = |i: usize| fig08.run_chunk(&e, seed, i, &points[i], 0..1);
+            assert_ne!(
+                energy(pbbf),
+                energy(baseline),
+                "points {pbbf} and {baseline}"
             );
         }
     }

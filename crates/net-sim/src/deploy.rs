@@ -27,11 +27,9 @@
 //! thread-count invariance is preserved, and a registry shared between
 //! figures cannot change any figure's values.
 
-use std::collections::HashMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
+use pbbf_parallel::{CacheStats, LruMemo};
 use pbbf_topology::{NodeId, Topology};
 
 use crate::NetConfig;
@@ -105,37 +103,6 @@ impl CachedDeployment {
     }
 }
 
-/// A snapshot of a [`DeploymentCache`]'s counters and occupancy, from
-/// [`DeploymentCache::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that drew a fresh deployment.
-    pub misses: u64,
-    /// Entries evicted to honor the capacity bound.
-    pub evictions: u64,
-    /// Distinct deployments currently stored.
-    pub len: usize,
-    /// The capacity bound (entries).
-    pub capacity: usize,
-}
-
-/// One resident entry: the shared deployment plus its recency stamp.
-#[derive(Debug)]
-struct CacheEntry {
-    value: Arc<CachedDeployment>,
-    /// Tick of the last lookup that touched this entry — the LRU order.
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheMap {
-    entries: HashMap<DeployKey, CacheEntry>,
-    /// Monotonic lookup counter stamping `last_used`.
-    tick: u64,
-}
-
 /// A `(seed, Δ)`-keyed store of connected deployments, shared across the
 /// protocol modes (and runs) of a sweep.
 ///
@@ -165,11 +132,7 @@ struct CacheMap {
 /// ```
 #[derive(Debug)]
 pub struct DeploymentCache {
-    map: Mutex<CacheMap>,
-    capacity: NonZeroUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    memo: LruMemo<DeployKey, CachedDeployment>,
 }
 
 impl Default for DeploymentCache {
@@ -200,33 +163,8 @@ impl DeploymentCache {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            map: Mutex::new(CacheMap::default()),
-            capacity: NonZeroUsize::new(capacity).expect("capacity must be at least 1"),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            memo: LruMemo::with_capacity(capacity),
         }
-    }
-
-    /// Locks the entry map, recovering from poison.
-    ///
-    /// A panic inside a cache-holding section (a panicking metric
-    /// closure in a fan-out job, a `should_panic` test sharing the
-    /// process-wide registry) poisons the mutex; propagating that
-    /// poison would permanently brick [`DeploymentCache::global`] for
-    /// every later run in the process. Recovery is sound here because
-    /// every entry is a pure function of its key: whatever state the
-    /// interrupted writer left behind, dropping it and redrawing on
-    /// demand reproduces bitwise-identical deployments. We clear the
-    /// map rather than audit it — the cost is a few redraws, never a
-    /// changed value.
-    fn lock_map(&self) -> std::sync::MutexGuard<'_, CacheMap> {
-        self.map.lock().unwrap_or_else(|poisoned| {
-            self.map.clear_poison();
-            let mut map = poisoned.into_inner();
-            map.entries.clear();
-            map
-        })
     }
 
     /// The process-wide deployment registry.
@@ -257,14 +195,15 @@ impl DeploymentCache {
     /// Hit/miss/eviction counters are preserved — they count lookups and
     /// evictions, not occupancy; a `clear` is not an eviction.
     pub fn clear(&self) {
-        self.lock_map().entries.clear();
+        self.memo.clear();
     }
 
     /// Returns the deployment for `(cfg geometry, seed)`, drawing and
     /// inserting it on first use — evicting least-recently-used entries
-    /// if the insert would exceed the capacity bound. The draw is
-    /// bitwise identical to the one [`NetSim::run`](crate::NetSim::run)
-    /// performs for `seed`.
+    /// if the insert would exceed the capacity bound. The draw runs
+    /// outside the lock, so distinct scenarios construct in parallel,
+    /// and is bitwise identical to the one
+    /// [`NetSim::run`](crate::NetSim::run) performs for `seed`.
     ///
     /// # Panics
     ///
@@ -272,109 +211,19 @@ impl DeploymentCache {
     /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
     #[must_use]
     pub fn get_or_draw(&self, cfg: &NetConfig, seed: u64) -> Arc<CachedDeployment> {
-        let key = DeployKey::new(cfg, seed);
-        {
-            let mut map = self.lock_map();
-            map.tick += 1;
-            let tick = map.tick;
-            if let Some(entry) = map.entries.get_mut(&key) {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.value);
-            }
-        }
-        // Draw outside the lock so distinct scenarios construct in
-        // parallel. Two workers racing on the same key draw the same
-        // deployment (it is a pure function of the key); the extra draw
-        // is discarded below.
-        let drawn = Arc::new(
+        self.memo.get_or_insert_with(DeployKey::new(cfg, seed), || {
             crate::NetSim::draw_deployment(cfg, seed)
-                .expect("no connected deployment found; raise delta or attempts"),
-        );
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.lock_map();
-        map.tick += 1;
-        let tick = map.tick;
-        let value = Arc::clone(
-            &map.entries
-                .entry(key)
-                .and_modify(|e| e.last_used = tick)
-                .or_insert(CacheEntry {
-                    value: drawn,
-                    last_used: tick,
-                })
-                .value,
-        );
-        // Evict the stalest entries down to capacity. O(len) per
-        // eviction scan, which only runs on inserts past the bound —
-        // negligible next to the connected-deployment draw it follows.
-        let mut evicted = 0u64;
-        while map.entries.len() > self.capacity.get() {
-            let stalest = map
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("over-capacity map is non-empty");
-            map.entries.remove(&stalest);
-            evicted += 1;
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        value
+                .expect("no connected deployment found; raise delta or attempts")
+        })
     }
 
-    /// The capacity bound, in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity.get()
-    }
-
-    /// Number of lookups answered from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that drew a fresh deployment.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of entries evicted to honor the capacity bound.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time snapshot of counters and occupancy. Each field
-    /// is read independently (relaxed atomics plus one lock for `len`),
-    /// so a snapshot racing an in-flight `get_or_draw` may transiently
-    /// show, say, `hits + misses` disagreeing with the lookups a caller
-    /// has counted; quiesce the cache first when exact books matter.
+    /// A point-in-time snapshot of counters and occupancy (`misses`
+    /// counts deployment draws). Each field is read independently, so a
+    /// snapshot racing an in-flight `get_or_draw` may be off by that
+    /// lookup; quiesce the cache first when exact books matter.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            evictions: self.evictions(),
-            len: self.len(),
-            capacity: self.capacity(),
-        }
-    }
-
-    /// Number of distinct deployments stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock_map().entries.len()
-    }
-
-    /// Whether the cache holds no deployments.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.stats()
     }
 }
 
@@ -395,32 +244,8 @@ mod tests {
             let again = cache.get_or_draw(&cfg, seed);
             assert!(Arc::ptr_eq(&cached, &again));
         }
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.len(), 3);
-    }
-
-    #[test]
-    fn lru_eviction_bounds_occupancy_and_prefers_stale_entries() {
-        let cfg = NetConfig::table2();
-        let cache = DeploymentCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let a = cache.get_or_draw(&cfg, 1);
-        let _b = cache.get_or_draw(&cfg, 2);
-        // Touch seed 1 so seed 2 is the LRU victim of the next insert.
-        let a_again = cache.get_or_draw(&cfg, 1);
-        assert!(Arc::ptr_eq(&a, &a_again));
-        let _c = cache.get_or_draw(&cfg, 3);
         let stats = cache.stats();
-        assert_eq!(stats.len, 2, "capacity bound enforced");
-        assert_eq!(stats.evictions, 1, "one eviction for the third insert");
-        assert_eq!((stats.misses, stats.hits), (3, 1));
-        // Seed 1 survived (recently used), seed 2 did not.
-        let before = cache.misses();
-        let _ = cache.get_or_draw(&cfg, 1);
-        assert_eq!(cache.misses(), before, "seed 1 still resident");
-        let _ = cache.get_or_draw(&cfg, 2);
-        assert_eq!(cache.misses(), before + 1, "seed 2 was evicted");
+        assert_eq!((stats.misses, stats.hits, stats.len), (3, 3, 3));
     }
 
     #[test]
@@ -436,8 +261,8 @@ mod tests {
         for &(seed, _) in &originals {
             let _ = cache.get_or_draw(&cfg, seed);
         }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 4);
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.evictions), (2, 4));
         for (seed, fresh) in &originals {
             assert_eq!(
                 *cache.get_or_draw(&cfg, *seed),
@@ -462,7 +287,7 @@ mod tests {
         let a = cache.get_or_draw(&cfg, 5);
         let b = cache.get_or_draw(&denser, 5);
         assert_ne!(a.topology, b.topology, "Δ must enter the key");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().len, 2);
         // Traffic parameters are not part of the deployment identity.
         let mut busier = cfg;
         busier.lambda = 1.0;
@@ -470,56 +295,5 @@ mod tests {
         busier.duration_secs = 10.0;
         let c = cache.get_or_draw(&busier, 5);
         assert!(Arc::ptr_eq(&a, &c), "λ/k/duration do not redraw");
-    }
-
-    /// Panics while holding `cache`'s map lock, poisoning the mutex the
-    /// way a panicking cache-holding closure would. The panic is caught
-    /// — only the poison survives.
-    fn poison(cache: &DeploymentCache) {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cache
-                .map
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            panic!("injected poison");
-        }));
-        assert!(result.is_err(), "the injected panic must fire");
-    }
-
-    #[test]
-    fn poisoned_lock_recovers_with_identical_values() {
-        let cfg = NetConfig::table2();
-        let cache = DeploymentCache::new();
-        let before = cache.get_or_draw(&cfg, 11);
-        poison(&cache);
-        // Every entry point used to abort here with "cache poisoned";
-        // now they recover (clearing the map — entries are pure
-        // functions of their keys, so nothing of value is lost).
-        assert_eq!(cache.len(), 0, "recovery clears the map");
-        let after = cache.get_or_draw(&cfg, 11);
-        assert_eq!(
-            *before, *after,
-            "redraw after recovery is bitwise identical"
-        );
-        poison(&cache);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn caught_panic_does_not_break_subsequent_global_runs() {
-        // The regression the sweep fabric depends on: a panicking job
-        // that dies while the process-wide registry's lock is held must
-        // not brick later `run_on` calls in the same process.
-        let mut cfg = NetConfig::table2();
-        cfg.duration_secs = 30.0;
-        let expected = {
-            let deployment = DeploymentCache::global().get_or_draw(&cfg, 23);
-            NetSim::new(cfg, crate::NetMode::AlwaysOn).run_on(23, &deployment)
-        };
-        poison(DeploymentCache::global());
-        let deployment = DeploymentCache::global().get_or_draw(&cfg, 23);
-        let after = NetSim::new(cfg, crate::NetMode::AlwaysOn).run_on(23, &deployment);
-        assert_eq!(expected, after, "post-poison run_on is unaffected");
     }
 }

@@ -44,6 +44,7 @@ mod stats;
 
 pub use active::ActiveSet;
 pub use config::{BoundaryEngine, NetConfig, NetMode};
-pub use deploy::{CacheStats, CachedDeployment, DeploymentCache};
+pub use deploy::{CachedDeployment, DeploymentCache};
+pub use pbbf_parallel::CacheStats;
 pub use runner::NetSim;
 pub use stats::NetRunStats;

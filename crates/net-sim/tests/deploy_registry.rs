@@ -79,7 +79,7 @@ proptest! {
             cfg.nodes = nodes;
             let served = cache.get_or_draw(&cfg, seed);
             assert_bitwise_identical(&served, &NetSim::draw_deployment(&cfg, seed).unwrap());
-            prop_assert!(cache.len() <= capacity, "occupancy over bound");
+            prop_assert!(cache.stats().len <= capacity, "occupancy over bound");
         }
         let stats = cache.stats();
         prop_assert_eq!(stats.capacity, capacity);
@@ -129,13 +129,14 @@ fn concurrent_first_touch_is_consistent() {
             );
         }
     }
-    assert_eq!(cache.len(), SEEDS as usize, "one entry per key");
+    let stats = cache.stats();
+    assert_eq!(stats.len, SEEDS as usize, "one entry per key");
     assert_eq!(
-        cache.hits() + cache.misses(),
+        stats.hits + stats.misses,
         THREADS as u64 * SEEDS,
         "every lookup is either a hit or a (possibly discarded) draw"
     );
-    assert!(cache.misses() >= SEEDS, "each key was drawn at least once");
+    assert!(stats.misses >= SEEDS, "each key was drawn at least once");
 }
 
 /// The global registry is one process-wide instance, and `clear` only

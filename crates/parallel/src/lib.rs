@@ -12,12 +12,19 @@
 //! Thread count comes from `PBBF_THREADS` when set (a value of `1` forces
 //! the sequential path — used by the determinism tests), otherwise from
 //! [`std::thread::available_parallelism`].
+//!
+//! Jobs that would compute the same pure value share it through an
+//! [`LruMemo`], a bounded memo whose entries cannot change a result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+mod memo;
+
+pub use memo::{CacheStats, LruMemo};
 
 /// Prefixes a panic payload with job context (`"{context}: {message}"`)
 /// when the payload is a string — the `panic!`/`assert!` case — so a

@@ -7,10 +7,12 @@
 //! see or the order they are reduced in.
 //!
 //! This file holds a single test: it manipulates the process-global
-//! `PBBF_THREADS` variable, and integration-test files run as their own
-//! process, so nothing else can race on it.
+//! `PBBF_THREADS` variable and clears the process-wide sweep memo, and
+//! integration-test files run as their own process, so nothing else can
+//! race on either.
 
 use pbbf::prelude::*;
+use pbbf_experiments::sweep::{sweep_manifest, SweepMemo};
 use pbbf_experiments::{ext_gossip_vs_pbbf, ext_latency_tail, fig04, fig06, fig12, fig13, fig17};
 
 fn tiny_effort() -> Effort {
@@ -26,12 +28,22 @@ fn tiny_effort() -> Effort {
     e
 }
 
+/// Every figure of one pass, recomputed: the sweep memo is cleared
+/// first (otherwise a later pass would fold the first pass's cached
+/// records and test nothing), and the pass must simulate every chunk of
+/// its three sweeps, each a family of its own, with no memo hit.
 fn all_figures(effort: &Effort, seed: u64) -> Vec<Figure> {
+    SweepMemo::global().clear();
+    let before = SweepMemo::global().stats();
+    let chunks: usize = ["fig04", "fig13", "fig17"]
+        .iter()
+        .map(|id| sweep_manifest(id, effort, seed).unwrap().shards.len())
+        .sum();
     // fig13 / fig17 / ext_latency_tail cover the point-level fan-out
     // paths (whole q and Δ sweeps as one flat job list), fig12 the
     // parallel Newman–Ziff threshold, fig04 / fig06 / ext_gossip_vs_pbbf
-    // the per-run fan-outs from PR 1.
-    vec![
+    // the per-run fan-outs.
+    let figures = vec![
         fig04(effort, seed),
         fig06(effort, seed),
         fig12(effort, seed),
@@ -39,7 +51,14 @@ fn all_figures(effort: &Effort, seed: u64) -> Vec<Figure> {
         fig17(effort, seed),
         ext_gossip_vs_pbbf(effort, seed),
         ext_latency_tail(effort, seed),
-    ]
+    ];
+    let after = SweepMemo::global().stats();
+    assert_eq!(
+        (after.misses - before.misses, after.hits - before.hits),
+        (chunks as u64, 0),
+        "the pass simulated every sweep chunk"
+    );
+    figures
 }
 
 #[test]
